@@ -39,8 +39,7 @@ san=True)`` or ``--san`` on the workload-running CLI subcommands; then
 
 from __future__ import annotations
 
-from heapq import heappop
-from typing import Any, List, Optional
+from typing import Any, List
 
 from ..sim.kernel import Process, Simulator
 
@@ -88,14 +87,14 @@ class SanitizerError(AssertionError):
 
 
 class CheckedSimulator(Simulator):
-    """A :class:`Simulator` whose run loops verify the firing order.
+    """A :class:`Simulator` that verifies the firing order of every pop.
 
-    The dispatch is a faithful copy of the kernel's (same integer-opcode
-    switch, same clock updates), with one added block per pop: the
-    ``(when, seq)`` key must strictly increase and never lie in the past.
-    It also keeps a registry of spawned processes so the end-of-run
-    deadlock check can enumerate survivors.  Checks only read and count —
-    the event sequence is identical to the plain kernel's.
+    It runs the kernel's own dispatch loop with :meth:`_check_order`
+    installed as a per-pop observer: each record's ``(when, seq)`` key
+    must strictly increase and never lie in the past.  It also keeps a
+    registry of spawned processes so the end-of-run deadlock check can
+    enumerate survivors.  Checks only read and count — the event
+    sequence is identical to the plain kernel's.
     """
 
     __slots__ = ("san_processes", "order_findings", "_last_when",
@@ -107,6 +106,7 @@ class CheckedSimulator(Simulator):
         self.order_findings: List[Finding] = []
         self._last_when = -1.0
         self._last_seq = -1
+        self.observers = (self._check_order,)
 
     def spawn(self, generator, name: str = "") -> Process:
         proc = Process(self, generator, name=name)
@@ -130,161 +130,6 @@ class CheckedSimulator(Simulator):
                                   self._last_seq)))
         self._last_when = when
         self._last_seq = seq
-
-    def run(self, until: Optional[float] = None) -> None:
-        calendar = self._calendar
-        pop = heappop
-        check = self._check_order
-        recorder = self.recorder
-        if until is None:
-            while calendar:
-                record = pop(calendar)
-                check(record)
-                when = record[0]
-                if when > self.now:
-                    self.now = when
-                if recorder is not None:
-                    recorder.note_event(record)
-                kind = record[2]
-                target = record[3]
-                if kind == 0:
-                    target._process()
-                elif kind == 1:
-                    target(record[4])
-                elif kind == 2:
-                    target._resume(record[4], None)
-                elif kind == 3:
-                    target._resume(None, record[4])
-                else:
-                    target()
-        else:
-            while calendar:
-                when = calendar[0][0]
-                if when > until:
-                    self.now = until
-                    break
-                record = pop(calendar)
-                check(record)
-                if when > self.now:
-                    self.now = when
-                if recorder is not None:
-                    recorder.note_event(record)
-                kind = record[2]
-                target = record[3]
-                if kind == 0:
-                    target._process()
-                elif kind == 1:
-                    target(record[4])
-                elif kind == 2:
-                    target._resume(record[4], None)
-                elif kind == 3:
-                    target._resume(None, record[4])
-                else:
-                    target()
-            else:
-                if until > self.now:
-                    self.now = until
-        self._raise_unhandled()
-
-    def run_window(self, horizon: float) -> int:
-        calendar = self._calendar
-        pop = heappop
-        check = self._check_order
-        recorder = self.recorder
-        count = 0
-        while calendar:
-            when = calendar[0][0]
-            if when >= horizon:
-                break
-            record = pop(calendar)
-            check(record)
-            count += 1
-            if when > self.now:
-                self.now = when
-            if recorder is not None:
-                recorder.note_event(record)
-            kind = record[2]
-            target = record[3]
-            if kind == 0:
-                target._process()
-            elif kind == 1:
-                target(record[4])
-            elif kind == 2:
-                target._resume(record[4], None)
-            elif kind == 3:
-                target._resume(None, record[4])
-            else:
-                target()
-        self._raise_unhandled()
-        return count
-
-    def run_process(self, generator, name: str = "",
-                    until: Optional[float] = None) -> Any:
-        proc = self.spawn(generator, name=name)
-        calendar = self._calendar
-        pop = heappop
-        check = self._check_order
-        recorder = self.recorder
-        if until is None:
-            while calendar and not proc.triggered:
-                record = pop(calendar)
-                check(record)
-                when = record[0]
-                if when > self.now:
-                    self.now = when
-                if recorder is not None:
-                    recorder.note_event(record)
-                kind = record[2]
-                target = record[3]
-                if kind == 0:
-                    target._process()
-                elif kind == 1:
-                    target(record[4])
-                elif kind == 2:
-                    target._resume(record[4], None)
-                elif kind == 3:
-                    target._resume(None, record[4])
-                else:
-                    target()
-        else:
-            while calendar and not proc.triggered:
-                when = calendar[0][0]
-                if when > until:
-                    self.now = until
-                    break
-                record = pop(calendar)
-                check(record)
-                if when > self.now:
-                    self.now = when
-                if recorder is not None:
-                    recorder.note_event(record)
-                kind = record[2]
-                target = record[3]
-                if kind == 0:
-                    target._process()
-                elif kind == 1:
-                    target(record[4])
-                elif kind == 2:
-                    target._resume(record[4], None)
-                elif kind == 3:
-                    target._resume(None, record[4])
-                else:
-                    target()
-        self._raise_unhandled()
-        if not proc.triggered:
-            if until is not None:
-                if until > self.now:
-                    self.now = until
-                return None
-            from ..sim.kernel import SimulationError
-            raise SimulationError(
-                "process %r deadlocked: calendar empty at t=%s"
-                % (proc.name, self.now)
-            )
-        if proc.ok is False:
-            proc.defused = True
-            raise proc.value
-        return proc.value
 
 
 class TransportSan:

@@ -172,7 +172,7 @@ class StorageStack:
         if recorder:
             from ..obs.explain import FlightRecorder
             self.recorder = FlightRecorder(self.sim)
-            self.sim.recorder = self.recorder
+            self.sim.observers += (self.recorder.note_event,)
             self.transport.recorder = self.recorder
             if self.telemetry is not None:
                 self.telemetry.recorder = self.recorder

@@ -81,7 +81,7 @@ _RESOURCE_FIELDS = ("utilization", "mean_queue", "mean_wait_s",
 
 # Calendar-record kinds, mirroring the numeric constants of
 # repro.sim.kernel (recorder rings store the raw int; dumps decode it).
-_KIND_NAMES = ("event", "call1", "resume", "throw", "call")
+_KIND_NAMES = ("event", "call1", "resume", "throw")
 
 
 # -- flight recorder ----------------------------------------------------------
@@ -90,10 +90,12 @@ _KIND_NAMES = ("event", "call1", "resume", "throw", "call")
 class FlightRecorder:
     """A bounded ring of recent kernel events and wire messages.
 
-    The black box for findings: components hold ``recorder = None`` by
-    default and hot paths guard with ``if recorder is not None:`` (the
-    O303 pattern), so the disabled layer costs one attribute load and
-    branch.  Enabled, each kernel-event note is a tuple append into a
+    The black box for findings.  The kernel feeds it through a per-pop
+    observer: :meth:`note_event` joins ``Simulator.observers``, so a
+    kernel without a recorder pays nothing beyond its empty observer
+    test.  The transport and telemetry hold ``recorder = None`` by
+    default and guard with ``if recorder is not None:`` (the O303
+    pattern).  Enabled, each kernel-event note is a tuple append into a
     fixed-size :class:`collections.deque` — cheap enough to leave on for
     scale-out runs.  When a sanitizer S-code or telemetry T-watcher
     finding fires, :meth:`dump` snapshots the current context window
@@ -724,8 +726,7 @@ def render_timeline_diff(tracer_a: Any, label_a: str,
     the traces share a t=0; each line lands in the left or right column by
     origin.  ``limit`` truncates to the first N messages per side
     (0 = everything).  This is the message-level companion of
-    :func:`explain_runs` (and the former home of
-    ``repro.obs.export.render_timeline_diff``, which now delegates here).
+    :func:`explain_runs`.
     """
     def rows(tracer: Any, side: int):
         msgs = tracer.messages[:limit] if limit else tracer.messages

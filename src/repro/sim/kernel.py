@@ -15,11 +15,20 @@ deterministic, and tailored to this project:
 Performance notes
 -----------------
 The calendar holds flat ``(when, seq, kind, target, payload)`` records
-instead of closures: scheduling never allocates a lambda, and the run
-loop dispatches on the small integer ``kind`` directly.  ``seq`` is
-unique, so heap comparisons never reach ``kind`` — the firing order is
-exactly the ``(when, seq)`` contract the experiments rely on.  All
+instead of closures: scheduling never allocates a lambda, and the
+dispatch loop switches on the small integer ``kind`` directly.  ``seq``
+is unique, so heap comparisons never reach ``kind`` — the firing order
+is exactly the ``(when, seq)`` contract the experiments rely on.  All
 per-event classes use ``__slots__``.
+
+There is one dispatch loop, :meth:`Simulator._drain`; :meth:`~Simulator.run`,
+:meth:`~Simulator.run_process` and :meth:`~Simulator.run_window` differ
+only in the horizon and the ``stop`` event they hand it.  The loop pops
+first and pushes the one record at or past the horizon back, rather than
+peeking before every pop.  Instrumentation that must see every record
+(the flight recorder, simsan's order check) registers a per-pop
+observer in :attr:`Simulator.observers`; with none attached, the loop
+pays one truthiness test per record.
 
 Example
 -------
@@ -35,6 +44,7 @@ Example
 
 from __future__ import annotations
 
+import math
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
@@ -56,11 +66,20 @@ _KIND_EVENT = 0    # target: Event      -> target._process()
 _KIND_CALL1 = 1    # target: callable   -> target(payload)
 _KIND_RESUME = 2   # target: Process    -> target._resume(payload, None)
 _KIND_THROW = 3    # target: Process    -> target._resume(None, payload)
-_KIND_CALL = 4     # target: callable   -> target()
 
 # Sentinel yielded by Simulator.hold(): the resume record is already on
 # the calendar, so Process._resume has nothing to subscribe to.
 _HOLD = object()
+
+
+class _Never:
+    """The ``stop`` of runs that end only at their horizon."""
+
+    __slots__ = ()
+    triggered = False
+
+
+_NEVER = _Never()
 
 
 class SimulationError(RuntimeError):
@@ -324,7 +343,7 @@ class Simulator:
     """The event calendar, virtual clock, and process spawner."""
 
     __slots__ = ("now", "_calendar", "_sequence", "_unhandled",
-                 "_active_process", "recorder")
+                 "_active_process", "observers")
 
     def __init__(self):
         self.now: float = 0.0
@@ -332,11 +351,11 @@ class Simulator:
         self._sequence = 0
         self._unhandled: List[Event] = []
         self._active_process: Optional["Process"] = None
-        # Opt-in flight recorder (repro.obs.explain.FlightRecorder); the
-        # run loops note every popped record when one is attached.  The
-        # recorder observes and never schedules, so attaching one leaves
-        # the event sequence unchanged.
-        self.recorder: Optional[Any] = None
+        # Per-pop observers: callables the dispatch loop hands every
+        # popped record (the flight recorder's note_event, simsan's S403
+        # order check).  They read and never schedule, so attaching one
+        # leaves the event sequence unchanged.
+        self.observers: Tuple[Callable[[Tuple[Any, ...]], None], ...] = ()
 
     # -- public API -----------------------------------------------------------
 
@@ -452,155 +471,32 @@ class Simulator:
         before it).  Returns the number of records dispatched, which
         the sharded driver aggregates into per-shard event rates.
         """
-        calendar = self._calendar
-        pop = heappop
-        recorder = self.recorder
-        count = 0
-        while calendar:
-            when = calendar[0][0]
-            if when >= horizon:
-                break
-            record = pop(calendar)
-            count += 1
-            if when > self.now:
-                self.now = when
-            if recorder is not None:
-                recorder.note_event(record)
-            kind = record[2]
-            target = record[3]
-            if kind == 0:
-                target._process()
-            elif kind == 1:
-                target(record[4])
-            elif kind == 2:
-                target._resume(record[4], None)
-            elif kind == 3:
-                target._resume(None, record[4])
-            else:
-                target()
-        self._raise_unhandled()
-        return count
+        return self._drain(horizon, _NEVER)
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the calendar empties or the clock reaches ``until``."""
-        calendar = self._calendar
-        pop = heappop
-        recorder = self.recorder
-        if until is None:
-            while calendar:
-                record = pop(calendar)
-                when = record[0]
-                if when > self.now:
-                    self.now = when
-                if recorder is not None:
-                    recorder.note_event(record)
-                kind = record[2]
-                target = record[3]
-                if kind == 0:
-                    target._process()
-                elif kind == 1:
-                    target(record[4])
-                elif kind == 2:
-                    target._resume(record[4], None)
-                elif kind == 3:
-                    target._resume(None, record[4])
-                else:
-                    target()
-        else:
-            while calendar:
-                when = calendar[0][0]
-                if when > until:
-                    self.now = until
-                    break
-                record = pop(calendar)
-                if when > self.now:
-                    self.now = when
-                if recorder is not None:
-                    recorder.note_event(record)
-                kind = record[2]
-                target = record[3]
-                if kind == 0:
-                    target._process()
-                elif kind == 1:
-                    target(record[4])
-                elif kind == 2:
-                    target._resume(record[4], None)
-                elif kind == 3:
-                    target._resume(None, record[4])
-                else:
-                    target()
-            else:
-                if until > self.now:
-                    self.now = until
-        self._raise_unhandled()
+        """Run until the calendar empties or the clock reaches ``until``.
 
-    def run_process(self, generator: Generator, name: str = "",
-                    until: Optional[float] = None) -> Any:
+        ``until`` is inclusive: records stamped exactly ``until`` fire.
+        Afterwards the clock reads ``until``, unless it was already
+        later: a bound behind the clock never rewinds it.
+        """
+        if until is None:
+            self._drain(math.inf, _NEVER)
+        else:
+            self._drain(math.nextafter(until, math.inf), _NEVER)
+            if until > self.now:
+                self.now = until
+
+    def run_process(self, generator: Generator, name: str = "") -> Any:
         """Spawn ``generator``, run to completion, and return its value.
 
         This is the main entry point used by workloads: it drives the whole
         simulation until the given process finishes (background processes
         may continue afterwards via :meth:`run`).
-
-        With ``until`` set the run is additionally bounded by the clock,
-        mirroring :meth:`run`: if the process has not finished when the
-        clock reaches ``until``, the clock is left at ``until``, pending
-        events stay on the calendar, and ``None`` is returned (the
-        deadlock check only applies to unbounded runs).
         """
         proc = self.spawn(generator, name=name)
-        calendar = self._calendar
-        pop = heappop
-        recorder = self.recorder
-        if until is None:
-            while calendar and not proc.triggered:
-                record = pop(calendar)
-                when = record[0]
-                if when > self.now:
-                    self.now = when
-                if recorder is not None:
-                    recorder.note_event(record)
-                kind = record[2]
-                target = record[3]
-                if kind == 0:
-                    target._process()
-                elif kind == 1:
-                    target(record[4])
-                elif kind == 2:
-                    target._resume(record[4], None)
-                elif kind == 3:
-                    target._resume(None, record[4])
-                else:
-                    target()
-        else:
-            while calendar and not proc.triggered:
-                when = calendar[0][0]
-                if when > until:
-                    self.now = until
-                    break
-                record = pop(calendar)
-                if when > self.now:
-                    self.now = when
-                if recorder is not None:
-                    recorder.note_event(record)
-                kind = record[2]
-                target = record[3]
-                if kind == 0:
-                    target._process()
-                elif kind == 1:
-                    target(record[4])
-                elif kind == 2:
-                    target._resume(record[4], None)
-                elif kind == 3:
-                    target._resume(None, record[4])
-                else:
-                    target()
-        self._raise_unhandled()
+        self._drain(math.inf, proc)
         if not proc.triggered:
-            if until is not None:
-                if until > self.now:
-                    self.now = until
-                return None
             raise SimulationError(
                 "process %r deadlocked: calendar empty at t=%s" % (proc.name, self.now)
             )
@@ -611,10 +507,45 @@ class Simulator:
 
     # -- internal -------------------------------------------------------------
 
-    def _schedule_call(self, call: Callable[[], None], delay: float = 0.0) -> None:
-        """Schedule a zero-argument callable (compatibility entry point)."""
-        self._sequence = seq = self._sequence + 1
-        heappush(self._calendar, (self.now + delay, seq, _KIND_CALL, call, None))
+    def _drain(self, horizon: float, stop: Any) -> int:
+        """The dispatch loop: fire records below ``horizon`` in order.
+
+        Pops ``(when, seq)``-ordered records until the calendar empties,
+        the next record lies at or beyond ``horizon`` (it is pushed back
+        untouched), or ``stop.triggered`` turns true — checked before
+        every pop, so the loop halts right after the record that
+        finished ``stop``.  Each observer sees each popped record before
+        the clock advances to it.  Returns the number of records
+        dispatched.
+        """
+        calendar = self._calendar
+        pop = heappop
+        observers = self.observers
+        count = 0
+        while calendar and not stop.triggered:
+            record = pop(calendar)
+            when = record[0]
+            if when >= horizon:
+                heappush(calendar, record)
+                break
+            count += 1
+            if observers:
+                for observe in observers:
+                    observe(record)
+            if when > self.now:
+                self.now = when
+            kind = record[2]
+            target = record[3]
+            if kind == 0:
+                target._process()
+            elif kind == 1:
+                target(record[4])
+            elif kind == 2:
+                target._resume(record[4], None)
+            else:
+                target._resume(None, record[4])
+        self._raise_unhandled()
+        return count
 
     def _schedule_call1(self, call: Callable[[Any], None], arg: Any,
                         delay: float = 0.0) -> None:

@@ -409,7 +409,7 @@ def test_s403_event_order_violation_detected():
     stack.run(_tiny_workload(stack.client), name="tiny")
     assert stack.sim.now > 0
     # Corrupt the calendar: a record stamped before the current clock.
-    heapq.heappush(stack.sim._calendar, (0.0, -1, 4, lambda: None, None))
+    heapq.heappush(stack.sim._calendar, (0.0, -1, 1, lambda _p: None, None))
     # Bounded run: the stack's periodic daemons never let the calendar
     # drain, so an unbounded run() would spin forever.
     stack.sim.run(until=stack.sim.now + 1.0)

@@ -3,6 +3,7 @@
 
 import pytest
 
+from repro.check.simsan import CheckedSimulator
 from repro.sim import Interrupt, SimulationError
 
 
@@ -242,6 +243,25 @@ def test_run_until_stops_clock(sim):
     assert sim.now == 5.5
 
 
+def test_run_until_in_the_past_keeps_clock(sim):
+    fired = []
+
+    def waiter():
+        yield sim.timeout(5.0)
+        yield sim.timeout(5.0)
+        fired.append(sim.now)
+
+    sim.spawn(waiter())
+    sim.run(until=5.0)
+    assert sim.now == 5.0
+    # A bound behind the clock dispatches nothing and never rewinds it.
+    sim.run(until=2.0)
+    assert sim.now == 5.0
+    assert fired == []
+    sim.run()
+    assert fired == [10.0]
+
+
 def test_run_until_advances_clock_on_empty_calendar(sim):
     sim.run(until=7.5)
     assert sim.now == 7.5
@@ -320,43 +340,6 @@ def test_yielding_non_event_fails(sim):
 def test_spawn_requires_generator(sim):
     with pytest.raises(TypeError):
         sim.spawn(lambda: None)
-
-
-def test_run_process_until_returns_value_when_finished(sim):
-    def proc():
-        yield sim.timeout(2.0)
-        return "done"
-
-    assert sim.run_process(proc(), until=5.0) == "done"
-    assert sim.now == 2.0
-
-
-def test_run_process_until_bounds_unfinished_process(sim):
-    progress = []
-
-    def proc():
-        for step in range(10):
-            yield sim.timeout(1.0)
-            progress.append(step)
-        return "finished"
-
-    # The clock stops at the bound, the process stays pending on the
-    # calendar, and the bounded run reports no value.
-    assert sim.run_process(proc(), until=3.5) is None
-    assert sim.now == 3.5
-    assert progress == [0, 1, 2]
-    sim.run()
-    assert progress == list(range(10))
-
-
-def test_run_process_until_skips_deadlock_check(sim):
-    def stuck():
-        gate = sim.event()
-        yield gate   # never triggered
-
-    # Unbounded runs raise on deadlock; bounded runs just stop the clock.
-    assert sim.run_process(stuck(), until=1.0) is None
-    assert sim.now == 1.0
 
 
 def test_add_callback_after_processing_fires_next_step(sim):
@@ -475,3 +458,23 @@ def test_run_window_counts_dispatched_records(sim):
     assert sim.run_window(10.0) == 3
     assert ticks == [1.0, 2.0, 3.0, 4.0]
     assert sim.run_window(20.0) == 0
+
+
+class TestOnCheckedSimulator:
+    """Every test above, rerun on simsan's :class:`CheckedSimulator`.
+
+    Both kernels dispatch through the one ``Simulator._drain`` loop; the
+    checked one adds its S403 order check as a per-pop observer, which
+    must stay silent on every well-formed run.
+    """
+
+    @pytest.fixture
+    def sim(self):
+        sim = CheckedSimulator()
+        yield sim
+        assert sim.order_findings == []
+
+
+for _name, _test in list(globals().items()):
+    if _name.startswith("test_"):
+        setattr(TestOnCheckedSimulator, _name, staticmethod(_test))
