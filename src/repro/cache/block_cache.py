@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, Generator, Iterable, List, Optional
 
 from ..core.params import CacheParams
-from ..obs.tracer import NULL_TRACER, NullTracer
+from ..obs.tracer import Tracer
 from ..sim import Event, Simulator
 from ..storage.blockdev import BlockDevice
 from .policies import CacheStats, LruDict
@@ -51,12 +51,12 @@ class BlockCache:
         max_coalesced_bytes: int = 128 * 1024,
         start_flusher: bool = True,
         name: str = "bcache",
-        tracer: Optional[NullTracer] = None,
+        tracer: Optional[Tracer] = None,
         track: str = "server",
     ):
         self.sim = sim
         self.device = device
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         self.track = track
         self.params = params if params is not None else CacheParams()
         self.block_size = device.block_size
@@ -118,7 +118,7 @@ class BlockCache:
                 self.stats.misses += 1
                 missing.append(block)
                 self._inflight[block] = self.sim.event()
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.instant(
                 "bcache." + ("hit" if not missing else "miss"),
                 cat="cache", track=self.track, start=start,
@@ -192,7 +192,7 @@ class BlockCache:
         # All write-back requests enter the device queue at once — the
         # block layer keeps the queue deep; the device serializes.
         span = None
-        if self.tracer.enabled and todo:
+        if self.tracer is not None and todo:
             span = self.tracer.begin_span(
                 "cache.flush", cat="cache", track=self.track,
                 blocks=len(todo),

@@ -13,9 +13,10 @@ Three whole-program analyses run on a :class:`~repro.check.graph.ProgramGraph`:
   method call that draws from a tainted RNG object.  The per-file pass
   only sees direct calls; this pass catches the laundered ones.
 
-* **Guard inference (O301–O303).**  A helper whose body calls a tracer/
+* **Guard inference (O301).**  A helper whose body calls a tracer/
   telemetry/recorder hook without the local guard is fine when *every*
-  call site in the program already sits under the right guard — the
+  call site in the program already sits under a guard on the same
+  receiver kind (see ``simlint.HOOKS``) — the
   hook can never execute unguarded.  Such per-file violations are
   dropped; a single unguarded call site keeps them.
 
@@ -304,28 +305,28 @@ def find_taint_flows(graph: ProgramGraph,
     return out
 
 
-_NEEDED_GUARD = {"O301": "enabled", "O302": "telem", "O303": "recorder"}
-
-
 def drop_guarded_hook_violations(graph: ProgramGraph, violations):
-    """Guard inference: drop O3xx findings in always-guarded helpers."""
+    """Guard inference: drop O301 findings in always-guarded helpers."""
+    from .simlint import hook_receiver
+
     out = []
     by_path = {module.path: module for module in graph.modules.values()}
     for violation in violations:
-        needed = _NEEDED_GUARD.get(violation.code)
-        if needed is None:
-            out.append(violation)
-            continue
         module = by_path.get(violation.path)
-        if module is None:
-            out.append(violation)
-            continue
-        info = module.function_at(violation.line)
+        info = (module.function_at(violation.line)
+                if violation.code == "O301" and module is not None
+                else None)
         if info is None:
             out.append(violation)
             continue
+        needed = next((hook_receiver(node.func)
+                       for node in ast.walk(info.node)
+                       if isinstance(node, ast.Call)
+                       and node.lineno == violation.line
+                       and node.col_offset == violation.col), None)
         sites = graph.call_sites(info)
-        if sites and all(needed in site.guards for site in sites):
+        if (needed is not None and sites
+                and all(needed in site.guards for site in sites)):
             continue  # every caller guards the hook: provably dead path
         out.append(violation)
     return out

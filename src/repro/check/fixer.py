@@ -10,11 +10,11 @@ reordering into the deterministic order:
 * **D102** — give a bare ``random.Random()`` the explicit seed ``0``
   (the caller should thread a real seed through; ``Random(0)`` makes
   the stream reproducible *now* and greppable later).
-* **O301/O302/O303** — wrap a bare hook statement in its guard
-  (``tracer.instant(...)`` → ``if tracer.enabled: tracer.instant(...)``
-  on two lines), preserving indentation.  Only single-line expression
-  statements are rewritten; anything structurally involved is left for
-  a human.
+* **O301** — wrap a bare hook statement in its guard
+  (``tracer.instant(...)`` → ``if tracer is not None:
+  tracer.instant(...)`` on two lines), preserving indentation.  Only
+  single-line expression statements are rewritten; anything
+  structurally involved is left for a human.
 
 The engine re-lints between passes (per-file mode, suppressions
 respected — a suppressed line is never rewritten) and stops at a
@@ -30,13 +30,9 @@ from .simlint import Violation, lint_source
 
 __all__ = ["FIXABLE", "fix_source", "fix_paths"]
 
-FIXABLE = frozenset({"D103", "D102", "O301", "O302", "O303"})
+FIXABLE = frozenset({"D103", "D102", "O301"})
 
-_GUARD_TEMPLATES = {
-    "O301": "if %s.enabled:",
-    "O302": "if %s is not None:",
-    "O303": "if %s is not None:",
-}
+_GUARD_TEMPLATE = "if %s is not None:"
 
 _MAX_PASSES = 10
 
@@ -113,7 +109,7 @@ def _fix_d102(source: str, offsets: List[int], tree: ast.Module,
     return span[0], span[1], fixed
 
 
-def _fix_o3xx(source: str, offsets: List[int], tree: ast.Module,
+def _fix_o301(source: str, offsets: List[int], tree: ast.Module,
               violation: Violation) -> Optional[Tuple[int, int, str]]:
     node = _node_at(tree, violation.line, violation.col)
     if not isinstance(node, ast.Call) or not isinstance(
@@ -132,7 +128,7 @@ def _fix_o3xx(source: str, offsets: List[int], tree: ast.Module,
     receiver = source[receiver_span[0]:receiver_span[1]]
     stmt_text = source[stmt_span[0]:stmt_span[1]]
     indent = " " * stmt.col_offset
-    guard = _GUARD_TEMPLATES[violation.code] % receiver
+    guard = _GUARD_TEMPLATE % receiver
     replacement = "%s\n%s    %s" % (guard, indent, stmt_text)
     return stmt_span[0], stmt_span[1], replacement
 
@@ -140,9 +136,7 @@ def _fix_o3xx(source: str, offsets: List[int], tree: ast.Module,
 _FIXERS = {
     "D103": _fix_d103,
     "D102": _fix_d102,
-    "O301": _fix_o3xx,
-    "O302": _fix_o3xx,
-    "O303": _fix_o3xx,
+    "O301": _fix_o301,
 }
 
 

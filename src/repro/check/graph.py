@@ -13,7 +13,7 @@ passes need:
   can be resolved to the code it runs;
 * a **call-site index** — every resolved call in the program, with its
   enclosing class/function and the ``if``-guards it sits under, which
-  is what lets O301–O303 guard inference and the D101/D102 taint pass
+  is what lets O301 guard inference and the D101/D102 taint pass
   (:mod:`repro.check.dataflow`) work across function boundaries.
 
 Resolution is intentionally static and conservative: plain names,
@@ -29,6 +29,8 @@ from __future__ import annotations
 import ast
 import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from .simlint import guard_kinds
 
 __all__ = [
     "FunctionInfo",
@@ -180,27 +182,6 @@ def _dotted(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _guard_kinds(test: ast.expr) -> frozenset:
-    """Which opt-in layers an ``if`` test is checking for."""
-    kinds = set()
-    for sub in ast.walk(test):
-        if isinstance(sub, ast.Attribute):
-            if sub.attr == "enabled":
-                kinds.add("enabled")
-            if "telem" in sub.attr.lower():
-                kinds.add("telem")
-            if "recorder" in sub.attr.lower():
-                kinds.add("recorder")
-        elif isinstance(sub, ast.Name):
-            if "telem" in sub.id.lower():
-                kinds.add("telem")
-            if "recorder" in sub.id.lower():
-                kinds.add("recorder")
-            if "tracer" in sub.id.lower():
-                kinds.add("enabled")
-    return frozenset(kinds)
-
-
 class ProgramGraph:
     """The whole-program view: modules, symbols, and resolved calls."""
 
@@ -283,7 +264,7 @@ class ProgramGraph:
                 func_stack.pop()
                 return
             if isinstance(node, ast.If):
-                kinds = _guard_kinds(node.test)
+                kinds = guard_kinds(node.test)
                 for child in node.body:
                     visit(child, guards | kinds)
                 for child in node.orelse:

@@ -14,8 +14,9 @@ Rule families
   the same seed diverge.
 * **P-rules** — simulator process discipline: misuse of the
   generator-coroutine protocol of :mod:`repro.sim`.
-* **O-rules** — observability discipline: tracer hooks that bypass the
-  zero-cost ``NULL_TRACER`` pattern and would perturb untraced timing.
+* **O-rules** — observability discipline: hooks of an opt-in layer
+  (tracer, telemetry, flight recorder) called outside the guard that
+  keeps the layer-off run byte-identical.
 * **S-rules** — shard safety: the static twin of the S4xx runtime
   sanitizers; cross-shard effects that bypass ``ShardedTransport``,
   delays that can land below a shard pair's conservative lookahead, and
@@ -30,7 +31,7 @@ Whole-program mode
 (:mod:`repro.check.graph`) over the whole lint run and layers three
 interprocedural passes (:mod:`repro.check.dataflow`) on top of the
 per-file scan: D101/D102 taint that flows through helper functions into
-sim-visible sinks, O301–O303 guard inference across function boundaries
+sim-visible sinks, O301 guard inference across function boundaries
 (a helper whose every call site is guarded is clean), and S503 named
 sort keys resolved in other modules.  :func:`lint_source` stays the
 fast single-buffer entry point.
@@ -40,7 +41,8 @@ Suppression
 Append ``# simlint: disable=D101`` (comma-separate several codes, or use
 ``all``) to the flagged line, or put ``# simlint: disable-file=D101``
 anywhere in the file to suppress a code file-wide.  Suppressions should
-carry a human reason on the same comment.
+carry a human reason on the same comment; ``repro lint --debt`` fails on
+one without a reason or naming a code that is not in :data:`RULES`.
 
 Entry points: :func:`lint_source` for one buffer, :func:`lint_paths` for
 files/directory trees, and ``repro lint`` on the command line.
@@ -94,13 +96,9 @@ _RULE_LIST = (
          "follow acquire() with try/finally release(), or call use()"),
     Rule("P203", "dropped-sim-result",
          "yield (from) the call or assign its result; a bare call is a no-op"),
-    Rule("O301", "unguarded-tracer-hook",
-         "guard tracer calls with `if tracer.enabled:` (NULL_TRACER pattern)"),
-    Rule("O302", "unguarded-telemetry-hook",
-         "guard telemetry pushes with `if telem is not None:` (opt-in layer)"),
-    Rule("O303", "unguarded-recorder-hook",
-         "guard flight-recorder hooks with `if recorder is not None:` "
-         "(opt-in layer)"),
+    Rule("O301", "unguarded-hook",
+         "guard tracer/telemetry/recorder hooks with "
+         "`if <receiver> is not None:`"),
     Rule("S501", "cross-shard-direct-access",
          "route cross-shard effects through ShardedTransport/Shard.post(); "
          "never touch another shard's calendar or ports directly"),
@@ -172,19 +170,16 @@ _SIM_RESULT_CALLS = frozenset({
 # P201: the entry points that turn a generator into a process.
 _PROCESS_ENTRY_POINTS = frozenset({"spawn", "run_process", "run"})
 
-# O301: tracer methods that must stay behind the `.enabled` guard.
-# end_span is excluded: `end_span(None)` is the documented safe no-op.
-_TRACER_HOOKS = frozenset({"begin_span", "instant", "message", "sample"})
-
-# O302: telemetry push hooks.  Unlike the tracer there is no null object:
-# the disabled layer is the attribute being None, so every push must sit
-# under an `if telem is not None:` (or truthiness) check.
-_TELEM_HOOKS = frozenset({"count", "observe"})
-
-# O303: flight-recorder hooks (repro.obs.explain.FlightRecorder).  Same
-# opt-in contract as telemetry: the disabled layer is the attribute being
-# None, so every hook must sit under an `if recorder is not None:` check.
-_RECORDER_HOOKS = frozenset({"note_event", "note_message", "dump"})
+# O301: the hooks of each opt-in layer, keyed by the word its receiver's
+# name contains.  A layer is the attribute being None when off, so every
+# hook call must sit under an enclosing `if` that mentions the receiver
+# (canonically `if <receiver> is not None:`).  tracer.end_span is
+# excluded: sites call it only on a span a guarded begin_span returned.
+HOOKS = {
+    "tracer": frozenset({"begin_span", "instant", "message", "sample"}),
+    "telem": frozenset({"count", "observe"}),
+    "recorder": frozenset({"note_event", "note_message", "dump"}),
+}
 
 # S501: shard-internal state that only the owning shard may mutate.
 # Reaching it through a subscript of a shard collection (`shards[i]`)
@@ -434,61 +429,32 @@ def _mentions_now(expr: ast.AST) -> bool:
     return False
 
 
-def _receiver_is_tracer(func: ast.Attribute) -> bool:
-    """True for ``<...>tracer.<hook>()`` shaped receivers."""
+def hook_receiver(func: ast.AST) -> Optional[str]:
+    """The :data:`HOOKS` key of a ``<...>receiver.<hook>`` call target."""
+    if not isinstance(func, ast.Attribute):
+        return None
     value = func.value
     if isinstance(value, ast.Attribute):
-        name = value.attr
+        name = value.attr.lower()
     elif isinstance(value, ast.Name):
-        name = value.id
+        name = value.id.lower()
     else:
-        return False
-    return "tracer" in name.lower()
+        return None
+    for key, hooks in HOOKS.items():
+        if func.attr in hooks and key in name:
+            return key
+    return None
 
 
-def _receiver_is_telem(func: ast.Attribute) -> bool:
-    """True for ``<...>telem*.<hook>()`` shaped receivers."""
-    value = func.value
-    if isinstance(value, ast.Attribute):
-        name = value.attr
-    elif isinstance(value, ast.Name):
-        name = value.id
-    else:
-        return False
-    return "telem" in name.lower()
-
-
-def _mentions_telem(test: ast.expr) -> bool:
-    """True when an ``if`` test inspects a telem-ish name — either a
-    ``x is not None`` comparison or a plain truthiness check."""
-    for sub in ast.walk(test):
-        if isinstance(sub, ast.Attribute) and "telem" in sub.attr.lower():
-            return True
-        if isinstance(sub, ast.Name) and "telem" in sub.id.lower():
-            return True
-    return False
-
-
-def _receiver_is_recorder(func: ast.Attribute) -> bool:
-    """True for ``<...>recorder.<hook>()`` shaped receivers."""
-    value = func.value
-    if isinstance(value, ast.Attribute):
-        name = value.attr
-    elif isinstance(value, ast.Name):
-        name = value.id
-    else:
-        return False
-    return "recorder" in name.lower()
-
-
-def _mentions_recorder(test: ast.expr) -> bool:
-    """True when an ``if`` test inspects a recorder-ish name."""
-    for sub in ast.walk(test):
-        if isinstance(sub, ast.Attribute) and "recorder" in sub.attr.lower():
-            return True
-        if isinstance(sub, ast.Name) and "recorder" in sub.id.lower():
-            return True
-    return False
+def guard_kinds(test: ast.expr) -> frozenset:
+    """The :data:`HOOKS` keys an ``if`` test mentions — an ``is not
+    None`` comparison or a plain truthiness check on the receiver."""
+    names = [sub.attr.lower() if isinstance(sub, ast.Attribute)
+             else sub.id.lower()
+             for sub in ast.walk(test)
+             if isinstance(sub, (ast.Attribute, ast.Name))]
+    return frozenset(key for key in HOOKS
+                     if any(key in name for name in names))
 
 
 def _receiver_name(value: ast.AST) -> Optional[str]:
@@ -734,57 +700,17 @@ class _Linter(ast.NodeVisitor):
                         "sequence tie-breaker; equal-time merge order is "
                         "executor-dependent")
 
-        # O301: tracer hooks outside the `.enabled` guard.
-        if (isinstance(node.func, ast.Attribute)
-                and node.func.attr in _TRACER_HOOKS
-                and _receiver_is_tracer(node.func)):
-            guarded = False
-            for ancestor in self._ancestors(node):
-                if isinstance(ancestor, ast.If):
-                    for sub in ast.walk(ancestor.test):
-                        if (isinstance(sub, ast.Attribute)
-                                and sub.attr == "enabled"):
-                            guarded = True
-                            break
-                if guarded:
-                    break
-            if not guarded:
-                self._report(
-                    node, "O301",
-                    "tracer.%s() outside an `if tracer.enabled:` guard"
-                    % node.func.attr)
-
-        # O302: telemetry pushes outside the `is not None` guard.
-        if (isinstance(node.func, ast.Attribute)
-                and node.func.attr in _TELEM_HOOKS
-                and _receiver_is_telem(node.func)):
-            guarded = False
-            for ancestor in self._ancestors(node):
-                if (isinstance(ancestor, ast.If)
-                        and _mentions_telem(ancestor.test)):
-                    guarded = True
-                    break
-            if not guarded:
-                self._report(
-                    node, "O302",
-                    "telemetry %s() outside an `if telem is not None:` "
-                    "guard" % node.func.attr)
-
-        # O303: flight-recorder hooks outside the `is not None` guard.
-        if (isinstance(node.func, ast.Attribute)
-                and node.func.attr in _RECORDER_HOOKS
-                and _receiver_is_recorder(node.func)):
-            guarded = False
-            for ancestor in self._ancestors(node):
-                if (isinstance(ancestor, ast.If)
-                        and _mentions_recorder(ancestor.test)):
-                    guarded = True
-                    break
-            if not guarded:
-                self._report(
-                    node, "O303",
-                    "flight-recorder %s() outside an `if recorder is "
-                    "not None:` guard" % node.func.attr)
+        # O301: opt-in layer hooks outside a guard on their receiver.
+        kind = hook_receiver(node.func)
+        if kind is not None and not any(
+                isinstance(ancestor, ast.If)
+                and kind in guard_kinds(ancestor.test)
+                for ancestor in self._ancestors(node)):
+            receiver = _dotted(node.func.value) or kind
+            self._report(
+                node, "O301",
+                "%s.%s() outside an `if %s is not None:` guard"
+                % (receiver, node.func.attr, receiver))
 
         self.generic_visit(node)
 
@@ -1038,6 +964,12 @@ class Suppression:
     codes: Tuple[str, ...]
     reason: str           # "" when the comment carries no justification
 
+    @property
+    def unknown_codes(self) -> Tuple[str, ...]:
+        """Codes that name no rule in :data:`RULES` (``all`` is valid)."""
+        return tuple(code for code in self.codes
+                     if code != "all" and code not in RULES)
+
 
 def _split_codes_reason(blob: str, tail: str) -> Tuple[Tuple[str, ...], str]:
     """Leading code tokens, then everything else as the human reason."""
@@ -1095,17 +1027,21 @@ def format_debt(suppressions: Sequence[Suppression]) -> str:
     if not suppressions:
         return "simlint debt: no suppressions"
     lines = []
-    missing = 0
+    missing = stale = 0
     for sup in suppressions:
         reason = sup.reason or "NO REASON"
         if not sup.reason:
             missing += 1
+        if sup.unknown_codes:
+            stale += 1
+            reason += " [UNKNOWN CODE %s]" % ",".join(sup.unknown_codes)
         lines.append("%s:%d: [%s] %s — %s"
                      % (sup.path, sup.line, sup.scope,
                         ",".join(sup.codes) or "?", reason))
-    lines.append("simlint debt: %d suppression%s (%d without a reason)"
+    lines.append("simlint debt: %d suppression%s (%d without a reason, "
+                 "%d naming an unknown code)"
                  % (len(suppressions),
-                    "" if len(suppressions) == 1 else "s", missing))
+                    "" if len(suppressions) == 1 else "s", missing, stale))
     return "\n".join(lines)
 
 

@@ -1216,8 +1216,10 @@ def cmd_lint(args) -> int:
     if args.debt:
         suppressions = simlint.collect_suppressions(paths)
         print(simlint.format_debt(suppressions))
-        # A suppression without a written reason is debt that fails CI.
-        return 1 if any(not s.reason for s in suppressions) else 0
+        # A suppression without a written reason, or naming a retired or
+        # misspelt rule code, is debt that fails CI.
+        return 1 if any(not s.reason or s.unknown_codes
+                        for s in suppressions) else 0
 
     if args.fix:
         from .check import fixer
@@ -1548,7 +1550,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "before reporting what remains")
     li.add_argument("--debt", action="store_true",
                     help="report every `# simlint: disable` suppression "
-                         "with its reason; exits 1 if any lacks one")
+                         "with its reason; exits 1 if any lacks one or "
+                         "names an unknown rule code")
     li.set_defaults(func=cmd_lint)
     return parser
 

@@ -32,7 +32,7 @@ from ..net.transport import DuplexTransport
 from ..nfs.client import NfsClient
 from ..nfs.server import NfsServer
 from ..obs.proxy import TracedClient
-from ..obs.tracer import NULL_TRACER, NullTracer, Tracer
+from ..obs.tracer import Tracer
 from ..sim import Simulator
 from ..storage.raid import Raid5Volume
 from .counters import CountersSnapshot, MessageCounters
@@ -73,11 +73,41 @@ def placement_shard(shards: int, params: Optional[TestbedParams] = None,
         1, testbed.network.rtt / 2.0, san=san).shard(0)
 
 
+def busy_probe(sim: Any, tracker: Any, capacity: int):
+    """Utilization probe over a busy-time integral, read without mutating.
+
+    Works for both :class:`~repro.sim.resources.UtilizationTracker` and
+    :class:`~repro.sim.stats.ResourceStats`: the integral is extended to
+    ``now`` without committing it, because committing (``_accumulate()``)
+    would change the order of float additions and a sampled run would
+    report different busy times from an unsampled one.
+    """
+    def probe() -> float:
+        return (tracker.busy_time + tracker._in_service
+                * (sim.now - tracker._last_change)) / capacity
+    return probe
+
+
+def depth_probe(*resources: Any):
+    """Waiting plus in-service requests, summed over ``resources``."""
+    def probe() -> float:
+        return float(sum(r.queue_length + (r.capacity - r.available)
+                         for r in resources))
+    return probe
+
+
+def counter_probe(stats: Any, field: str):
+    """The current value of a monotonically growing counter field."""
+    def probe() -> float:
+        return float(getattr(stats, field))
+    return probe
+
+
 class StorageStack:
     """A fully wired client/server testbed for one protocol stack."""
 
     def __init__(self, kind: str, params: Optional[TestbedParams] = None,
-                 trace: bool = False, tracer: Optional[NullTracer] = None,
+                 trace: bool = False, tracer: Optional[Tracer] = None,
                  fault_plan=None, san: bool = False,
                  telemetry: bool = False, heartbeat: bool = False,
                  recorder: bool = False, sim: Optional[Any] = None):
@@ -111,10 +141,10 @@ class StorageStack:
             self.sim = CheckedSimulator()
         else:
             self.sim = Simulator()
-        # Observability: a recording Tracer when requested, else the
-        # zero-overhead NULL_TRACER (identical event sequence to untraced).
-        if tracer is None:
-            tracer = Tracer(self.sim) if trace else NULL_TRACER
+        # Observability: a recording Tracer when requested, else None
+        # (every hook site guards, so the event sequence is untouched).
+        if tracer is None and trace:
+            tracer = Tracer(self.sim)
         self.tracer = tracer
         cpu = self.params.cpu
         self.client_host = Host(self.sim, cpu.client_cpus, "client")
@@ -148,7 +178,7 @@ class StorageStack:
         else:
             self._build_nfs()
         self.raw_client = self.client
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.client = TracedClient(self.client, self.tracer)
             self._register_probes()
         # Streaming telemetry (repro.obs.telemetry): bounded-memory
@@ -162,7 +192,7 @@ class StorageStack:
             self.telemetry = Telemetry(self.sim, heartbeat=hb)
             self.transport.telem = self.telemetry
             self._register_telemetry()
-            self.telemetry.start()
+            self.telemetry.sampler.start()
         # Flight recorder (repro.obs.explain): a bounded ring of recent
         # kernel events and wire messages, built only on request.  It
         # observes and never schedules, so recorder-on runs keep the
@@ -414,146 +444,80 @@ class StorageStack:
 
     def _register_probes(self) -> None:
         """Attach the vmstat-style utilization probes and start sampling."""
-
-        def cpu_probe(host: Host):
-            tracker = host.cpu.tracker
-            def probe() -> float:
-                tracker._accumulate()
-                return tracker.busy_time / tracker.capacity
-            return probe
-
-        self.tracer.add_probe(
-            "cpu.client", cpu_probe(self.client_host),
-            kind="cumulative", track="client",
-        )
-        self.tracer.add_probe(
-            "cpu.server", cpu_probe(self.server_host),
-            kind="cumulative", track="server",
-        )
-        self.tracer.add_probe(
-            "link.MBps", lambda: float(self.link.total_bytes),
-            kind="rate", track="wire", scale=1e-6,
-        )
-        self.tracer.add_probe(
-            "disk.queue",
-            lambda: float(sum(
-                disk.queue.queue_length
-                + (disk.queue.capacity - disk.queue.available)
-                for disk in self.raid.disks
-            )),
-            kind="gauge", track="server",
-        )
-        self.tracer.start_sampling()
+        add = self.tracer.sampler.add
+        for track, host in (("client", self.client_host),
+                            ("server", self.server_host)):
+            cpu = host.cpu
+            add("cpu." + track,
+                busy_probe(self.sim, cpu.tracker, cpu.capacity),
+                kind="cumulative", label=track)
+        add("link.MBps", lambda: float(self.link.total_bytes),
+            kind="rate", label="wire", scale=1e-6)
+        add("disk.queue",
+            depth_probe(*(disk.queue for disk in self.raid.disks)),
+            kind="gauge", label="server")
+        self.tracer.sampler.start()
 
     def _register_telemetry(self) -> None:
-        """Register every tier of the testbed on the telemetry collector.
-
-        Unlike the tracer probes above, these never call
-        ``_accumulate()`` or any other mutator: a probe that advanced
-        the busy-time accumulators would change the *order* of float
-        additions, and the reported utilization figures would depend on
-        whether telemetry was enabled.  Each probe recomputes the
-        current value from the raw accounting fields instead.
-        """
-        telem = self.telemetry
-        sim = self.sim
-
-        def busy_probe(tracker: Any, capacity: int):
-            # Works for both UtilizationTracker and ResourceStats: the
-            # busy-time integral extended to `now` without committing it.
-            def probe() -> float:
-                return (tracker.busy_time + tracker._in_service
-                        * (sim.now - tracker._last_change)) / capacity
-            return probe
-
-        def depth_probe(resource: Any):
-            def probe() -> float:
-                return float(resource.queue_length
-                             + (resource.capacity - resource.available))
-            return probe
-
-        def counter_probe(stats: Any, field: str):
-            def probe() -> float:
-                return float(getattr(stats, field))
-            return probe
-
-        client_cpu = self.client_host.cpu
-        server_cpu = self.server_host.cpu
-        telem.add_series("client.cpu.util",
-                         busy_probe(client_cpu.tracker, client_cpu.capacity),
-                         kind="cumulative", tag="util")
-        telem.add_series("server.cpu.util",
-                         busy_probe(server_cpu.tracker, server_cpu.capacity),
-                         kind="cumulative", tag="util")
-        telem.add_series("net.link.MBps",
-                         lambda: float(self.link.total_bytes),
-                         kind="rate", tag="rate", scale=1e-6)
-        telem.add_series("client.inbox.depth",
-                         lambda: float(len(self.transport.client.inbox)),
-                         kind="gauge", tag="queue")
-        telem.add_series("server.inbox.depth",
-                         lambda: float(len(self.transport.server.inbox)),
-                         kind="gauge", tag="queue")
+        """Register every tier of the testbed on the telemetry collector."""
+        add = self.telemetry.sampler.add
+        for side, host in (("client", self.client_host),
+                           ("server", self.server_host)):
+            cpu = host.cpu
+            add(side + ".cpu.util",
+                busy_probe(self.sim, cpu.tracker, cpu.capacity),
+                kind="cumulative", label="util")
+        add("net.link.MBps", lambda: float(self.link.total_bytes),
+            kind="rate", label="rate", scale=1e-6)
+        add("client.inbox.depth",
+            lambda: float(len(self.transport.client.inbox)),
+            kind="gauge", label="queue")
+        add("server.inbox.depth",
+            lambda: float(len(self.transport.server.inbox)),
+            kind="gauge", label="queue")
         for index, disk in enumerate(self.raid.disks):
             queue = disk.queue
-            telem.add_series("server.disk%02d.queue" % index,
-                             depth_probe(queue), kind="gauge", tag="queue")
-            telem.add_series("server.disk%02d.util" % index,
-                             busy_probe(queue.stats, queue.capacity),
-                             kind="cumulative", tag="util")
+            add("server.disk%02d.queue" % index, depth_probe(queue),
+                kind="gauge", label="queue")
+            add("server.disk%02d.util" % index,
+                busy_probe(self.sim, queue.stats, queue.capacity),
+                kind="cumulative", label="util")
         raid = self.raid
-        telem.add_series(
-            "server.raid.degraded_s",
+        add("server.raid.degraded_s",
             lambda: float(raid.degraded_reads + raid.degraded_writes
                           + raid.rebuild_writes),
-            kind="cumulative", tag="rate")
+            kind="cumulative", label="rate")
         caller, server_peer = self.rpc_peers()
-        telem.add_series("client.rpc.calls_s",
-                         counter_probe(caller, "calls_issued"),
-                         kind="cumulative", tag="rate")
-        telem.add_series("server.rpc.served_s",
-                         counter_probe(server_peer, "calls_served"),
-                         kind="cumulative", tag="rate")
+        add("client.rpc.calls_s", counter_probe(caller, "calls_issued"),
+            kind="cumulative", label="rate")
+        add("server.rpc.served_s", counter_probe(server_peer, "calls_served"),
+            kind="cumulative", label="rate")
         if self.kind == "iscsi":
             initiator = self.initiator
-            telem.add_series(
-                "client.iscsi.inflight",
+            add("client.iscsi.inflight",
                 lambda: float(initiator.commands_issued
                               - initiator.commands_completed),
-                kind="gauge", tag="queue")
-            telem.add_series("client.cache.hits_s",
-                             counter_probe(self.fs.cache.stats, "hits"),
-                             kind="cumulative", tag="rate")
-            telem.add_series("client.cache.misses_s",
-                             counter_probe(self.fs.cache.stats, "misses"),
-                             kind="cumulative", tag="rate")
+                kind="gauge", label="queue")
+            caches = (("client", self.fs.cache.stats),)
             session = self.session
             if session is not None:
                 # MC/S: per-connection PDU rates expose scheduler skew,
                 # and the held gauge is the in-order completion buffer.
                 for conn in range(session.nconnections):
-                    telem.add_series(
-                        "client.iscsi.conn%02d.pdus_s" % conn,
+                    add("client.iscsi.conn%02d.pdus_s" % conn,
                         lambda conn=conn: float(
                             session.pdus_by_connection[conn]),
-                        kind="cumulative", tag="rate")
-                telem.add_series("client.iscsi.held",
-                                 lambda: float(session.held_now),
-                                 kind="gauge", tag="queue")
+                        kind="cumulative", label="rate")
+                add("client.iscsi.held", lambda: float(session.held_now),
+                    kind="gauge", label="queue")
         else:
-            telem.add_series("server.cache.hits_s",
-                             counter_probe(self.fs.cache.stats, "hits"),
-                             kind="cumulative", tag="rate")
-            telem.add_series("server.cache.misses_s",
-                             counter_probe(self.fs.cache.stats, "misses"),
-                             kind="cumulative", tag="rate")
-            pages = self.nfs_client._pages.stats
-            telem.add_series("client.cache.hits_s",
-                             counter_probe(pages, "hits"),
-                             kind="cumulative", tag="rate")
-            telem.add_series("client.cache.misses_s",
-                             counter_probe(pages, "misses"),
-                             kind="cumulative", tag="rate")
+            caches = (("server", self.fs.cache.stats),
+                      ("client", self.nfs_client._pages.stats))
+        for side, stats in caches:
+            for field in ("hits", "misses"):
+                add("%s.cache.%s_s" % (side, field),
+                    counter_probe(stats, field),
+                    kind="cumulative", label="rate")
 
     # -- lifecycle --------------------------------------------------------------------
 
@@ -652,7 +616,7 @@ def make_stack(kind: str, params: Optional[TestbedParams] = None,
     """Build (and by default mount) a stack of the given kind.
 
     Pass ``trace=True`` to attach a recording :class:`repro.obs.Tracer`
-    (exposed as ``stack.tracer``); the default is the no-op tracer.
+    (exposed as ``stack.tracer``); untraced, ``stack.tracer`` is ``None``.
     Pass a non-empty :class:`repro.faults.FaultPlan` as ``fault_plan`` to
     arm fault injection; its event clock starts *after* the mount, so plan
     times are relative to the beginning of the workload.

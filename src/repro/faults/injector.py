@@ -28,7 +28,6 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from ..obs.tracer import NULL_TRACER
 from .plan import (
     DiskFailure,
     DuplicateWindow,
@@ -80,7 +79,7 @@ class FaultInjector:
         self.raid = raid
         self.nfs_server = nfs_server
         self.initiator = initiator
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         self.rng = random.Random(plan.seed)
         self.started = False
         # Active-window state consulted by filter_message.
@@ -111,7 +110,7 @@ class FaultInjector:
     def _driver(self, event: Any) -> Generator:
         yield self.sim.timeout(event.start)
         span = None
-        if self.tracer.enabled:
+        if self.tracer is not None:
             span = self.tracer.begin_span(
                 "fault:" + event.kind,
                 cat="fault",
@@ -267,7 +266,7 @@ class FaultInjector:
         self.counts[name] = self.counts.get(name, 0) + 1
         if len(self.log) < _LOG_LIMIT:
             self.log.append((self.sim.now, name, detail))
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.instant("fault." + name, cat="fault", track="wire", what=detail)
 
     def summary(self) -> Dict[str, Any]:

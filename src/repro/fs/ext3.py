@@ -32,7 +32,7 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from ..cache.block_cache import BlockCache
 from ..core.params import CpuParams, Ext3Params, TestbedParams
-from ..obs.tracer import NULL_TRACER, NullTracer
+from ..obs.tracer import Tracer
 from ..sim import Resource, Simulator
 from ..storage.blockdev import BlockDevice
 from .alloc import ExtentAllocator, IdAllocator
@@ -68,7 +68,7 @@ class Ext3Fs:
         readahead_blocks: int = 0,
         testbed: Optional[TestbedParams] = None,
         name: str = "ext3",
-        tracer: Optional[NullTracer] = None,
+        tracer: Optional[Tracer] = None,
         track: str = "server",
     ):
         self.sim = sim
@@ -78,7 +78,7 @@ class Ext3Fs:
         self.cpu_params = cpu_params if cpu_params is not None else CpuParams()
         self.readahead_blocks = readahead_blocks
         self.name = name
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         self.track = track
         self.layout = DiskLayout(device.nblocks, params=self.params)
         cache_params = testbed.cache if testbed is not None else None

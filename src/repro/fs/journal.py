@@ -23,7 +23,7 @@ from typing import Generator, Optional, Set
 
 from ..cache.block_cache import BlockCache
 from ..core.params import Ext3Params
-from ..obs.tracer import NULL_TRACER, NullTracer
+from ..obs.tracer import Tracer
 from ..sim import Simulator
 from .layout import DiskLayout
 
@@ -40,13 +40,13 @@ class Journal:
         layout: DiskLayout,
         params: Optional[Ext3Params] = None,
         name: str = "journal",
-        tracer: Optional[NullTracer] = None,
+        tracer: Optional[Tracer] = None,
         track: str = "server",
     ):
         self.sim = sim
         self.cache = cache
         self.layout = layout
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         self.track = track
         self.params = params if params is not None else Ext3Params()
         self.name = name
@@ -99,7 +99,7 @@ class Journal:
         if not self._metadata and not self._ordered_data:
             return None
         span = None
-        if self.tracer.enabled:
+        if self.tracer is not None:
             span = self.tracer.begin_span(
                 "journal.commit", cat="journal", track=self.track,
                 metadata=len(self._metadata), ordered=len(self._ordered_data),
@@ -138,7 +138,7 @@ class Journal:
         self._checkpoint_pending.clear()
         if not blocks:
             return None
-        if self.tracer.enabled:
+        if self.tracer is not None:
             result = yield from self.tracer.wrap(
                 "journal.checkpoint", self._checkpoint_runs(blocks),
                 cat="journal", track=self.track, blocks=len(blocks),

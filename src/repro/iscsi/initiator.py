@@ -16,7 +16,7 @@ from typing import Generator, Optional
 
 from ..core.params import CpuParams, IscsiParams
 from ..net.rpc import RpcPeer
-from ..obs.tracer import NULL_TRACER, NullTracer
+from ..obs.tracer import Tracer
 from ..sim import Resource, Simulator
 from ..storage.blockdev import BlockDevice
 from . import scsi
@@ -36,7 +36,7 @@ class IscsiInitiator(BlockDevice):
         cpu: Optional[Resource] = None,
         cpu_params: Optional[CpuParams] = None,
         name: str = "iscsi-initiator",
-        tracer: Optional[NullTracer] = None,
+        tracer: Optional[Tracer] = None,
         session=None,
     ):
         super().__init__(nblocks, name=name)
@@ -47,7 +47,7 @@ class IscsiInitiator(BlockDevice):
         # in-order completion buffer; session=None keeps the original
         # direct rpc.call path (and event sequence) byte-identical.
         self.session = session
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         self.params = params if params is not None else IscsiParams()
         self.cpu = cpu
         self.cpu_params = cpu_params if cpu_params is not None else CpuParams()
@@ -136,7 +136,7 @@ class IscsiInitiator(BlockDevice):
         dropped = self._drop_event
         self._drop_event = self.sim.event()
         dropped.trigger(None)
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.instant("iscsi.session-drop", cat="fault",
                                 track="client", dev=self.name)
         self.sim.spawn(self._relogin(), name=self.name + ".relogin")
@@ -159,7 +159,7 @@ class IscsiInitiator(BlockDevice):
         self.logins += 1
         self._session_up = True
         self._up_event.trigger(None)
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.instant("iscsi.relogin", cat="fault",
                                 track="client", dev=self.name)
         return None
@@ -191,7 +191,7 @@ class IscsiInitiator(BlockDevice):
     def _command(self, op: str, lba: int, count: int, payload: int) -> Generator:
         self.commands_issued += 1
         span = None
-        if self.tracer.enabled:
+        if self.tracer is not None:
             span = self.tracer.begin_span(
                 "scsi:" + op, cat="scsi", track="client", lba=lba, count=count,
             )

@@ -14,7 +14,7 @@ from typing import Generator, Optional
 from ..core.params import CpuParams
 from ..net.message import Message
 from ..net.rpc import RpcPeer
-from ..obs.tracer import NULL_TRACER, NullTracer
+from ..obs.tracer import Tracer
 from ..sim import Resource, Simulator
 from ..storage.blockdev import BlockDevice
 from . import scsi
@@ -33,12 +33,12 @@ class IscsiTarget:
         cpu: Optional[Resource] = None,
         cpu_params: Optional[CpuParams] = None,
         name: str = "iscsi-target",
-        tracer: Optional[NullTracer] = None,
+        tracer: Optional[Tracer] = None,
     ):
         self.sim = sim
         self.volume = volume
         self.rpc = rpc
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         self.cpu = cpu
         self.cpu_params = cpu_params if cpu_params is not None else CpuParams()
         self.name = name
@@ -57,7 +57,7 @@ class IscsiTarget:
 
     def handle(self, message: Message) -> Generator:
         """RPC handler: dispatch one SCSI command to the backing volume."""
-        if self.tracer.enabled:
+        if self.tracer is not None:
             result = yield from self.tracer.wrap(
                 "scsi.serve:" + message.op, self._handle_inner(message),
                 cat="scsi", track="server",

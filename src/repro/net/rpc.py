@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Generator, Optional
 
-from ..obs.tracer import NULL_TRACER, NullTracer
+from ..obs.tracer import Tracer
 from ..sim import Event, Resource, Simulator
 from .message import Message, REPLY, REQUEST
 from .transport import Endpoint
@@ -99,13 +99,13 @@ class RpcPeer:
         per_byte_cpu: float = 0.0,
         retransmit: Optional[RetransmitPolicy] = None,
         name: str = "rpc",
-        tracer: Optional[NullTracer] = None,
+        tracer: Optional[Tracer] = None,
         track: str = "client",
     ):
         self.sim = sim
         self.endpoint = endpoint
         self._send = send
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         self.track = track
         self.cpu = cpu
         self.per_message_cpu = per_message_cpu
@@ -149,7 +149,7 @@ class RpcPeer:
         if self.san is not None:
             self.san.note_issued(request.xid)
         span = None
-        if self.tracer.enabled:
+        if self.tracer is not None:
             span = self.tracer.begin_span(
                 "rpc:" + op, cat="rpc", track=self.track,
                 xid=request.xid, bytes=request.size,
@@ -253,7 +253,7 @@ class RpcPeer:
 
     def _serve(self, message: Message) -> Generator:
         span = None
-        if self.tracer.enabled:
+        if self.tracer is not None:
             span = self.tracer.begin_span(
                 "serve:" + message.op, cat="rpc", track=self.track,
                 parent=message.span_id or None, xid=message.xid,

@@ -25,7 +25,7 @@ import random
 from typing import Optional
 
 from ..core.counters import CountersSnapshot, MessageCounters
-from ..obs.tracer import NULL_TRACER, NullTracer
+from ..obs.tracer import Tracer
 from ..sim import Simulator, Store
 from .link import GIGABIT_BPS, Link, _Channel
 from .message import Message, REPLY, REQUEST
@@ -69,7 +69,7 @@ class DuplexTransport:
         loss_rate: float = 0.0,
         rng: Optional[random.Random] = None,
         name: str = "transport",
-        tracer: Optional[NullTracer] = None,
+        tracer: Optional[Tracer] = None,
     ):
         if not 0.0 <= loss_rate <= 1.0:
             raise ValueError(
@@ -86,14 +86,14 @@ class DuplexTransport:
         self.san = None
         # Optional Telemetry (repro.obs.telemetry): push-counter hooks
         # only record into rollups (no events), guarded with
-        # `if telem is not None:` (simlint O302).
+        # `if telem is not None:` (simlint O301).
         self.telem = None
         # Optional FlightRecorder (repro.obs.explain): the send hooks
         # append into its bounded message ring, guarded with
-        # `if recorder is not None:` (simlint O303).
+        # `if recorder is not None:` (simlint O301).
         self.recorder = None
         self.link = link
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         self.counters = counters if counters is not None else MessageCounters()
         self.reliable = reliable
         self.loss_rate = loss_rate
@@ -106,7 +106,7 @@ class DuplexTransport:
     def send_from_client(self, message: Message) -> None:
         """Inject ``message`` on the client->server direction."""
         self._count(message)
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.message("c2s", message)
         recorder = self.recorder
         if recorder is not None:
@@ -116,7 +116,7 @@ class DuplexTransport:
     def send_from_server(self, message: Message) -> None:
         """Inject ``message`` on the server->client direction."""
         self._count(message)
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.message("s2c", message)
         recorder = self.recorder
         if recorder is not None:

@@ -43,7 +43,7 @@ from ..fs.errors import (
 from ..fs.inode import FileAttributes, FileType
 from ..net.message import Message
 from ..net.rpc import RpcPeer
-from ..obs.tracer import NULL_TRACER, NullTracer
+from ..obs.tracer import Tracer
 from ..sim import Event, Simulator
 from . import protocol as p
 
@@ -109,11 +109,11 @@ class NfsClient:
         readahead_pages: int = 2,
         name: str = "nfs-client",
         client_id: str = "client0",
-        tracer: Optional[NullTracer] = None,
+        tracer: Optional[Tracer] = None,
     ):
         self.sim = sim
         self.rpc = rpc
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         self.params = params if params is not None else NfsParams()
         self.cache_params = cache_params if cache_params is not None else CacheParams()
         self.cpu_params = cpu_params if cpu_params is not None else CpuParams()
@@ -851,7 +851,7 @@ class NfsClient:
                 and not page.dirty
             ):
                 missing.append(index)
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.instant(
                 "pagecache." + ("hit" if not missing else "miss"),
                 cat="cache", track="client", ino=ino,

@@ -28,7 +28,7 @@ from ..fs.ext3 import Ext3Fs, ROOT_INO
 from ..fs.inode import Inode
 from ..net.message import Message
 from ..net.rpc import RpcPeer
-from ..obs.tracer import NULL_TRACER, NullTracer
+from ..obs.tracer import Tracer
 from ..sim import Resource, Simulator
 from . import protocol as p
 
@@ -91,12 +91,12 @@ class NfsServer:
         cpu_params: Optional[CpuParams] = None,
         state: Optional["ServerState"] = None,
         name: str = "nfsd",
-        tracer: Optional[NullTracer] = None,
+        tracer: Optional[Tracer] = None,
     ):
         self.sim = sim
         self.fs = fs
         self.rpc = rpc
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         self.params = params if params is not None else NfsParams()
         self.cpu_params = cpu_params if cpu_params is not None else CpuParams()
         self.name = name
@@ -154,7 +154,7 @@ class NfsServer:
         if self.params.version >= 4:
             self.state.dir_delegations.clear()
             self.state.cache_registry.clear()
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.instant(
                 "nfs.server-restart", cat="fault", track="server",
                 stateless=self.params.version < 4,
@@ -164,7 +164,7 @@ class NfsServer:
 
     def handle(self, message: Message) -> Generator:
         """RPC handler: returns ``(reply_payload_bytes, reply_body)``."""
-        if self.tracer.enabled:
+        if self.tracer is not None:
             result = yield from self.tracer.wrap(
                 "nfs:" + message.op, self._handle_inner(message),
                 cat="nfs", track="server",

@@ -6,9 +6,8 @@ This package is the simulated equivalent of all three:
 
 * :class:`~repro.obs.tracer.Tracer` records protocol messages, causal
   spans across every layer, point events, latency histograms, and sampled
-  utilization timelines.  The default :data:`~repro.obs.tracer.NULL_TRACER`
-  is a disabled no-op, so untraced runs are bit-identical to the
-  uninstrumented simulator;
+  utilization timelines.  Untraced components hold ``tracer = None``, so
+  untraced runs are bit-identical to the uninstrumented simulator;
 * :mod:`~repro.obs.export` renders a recording as a JSONL packet trace, a
   per-op summary table, or a Chrome ``trace_event`` file for
   ``chrome://tracing`` / Perfetto;
@@ -25,7 +24,9 @@ This package is the simulated equivalent of all three:
   (utilization, queue depth, rates), invariant watchers over the
   stream, run heartbeats on stderr, and associative cross-worker
   merging — rendered by :mod:`~repro.obs.dashboard` as ASCII timeline
-  dashboards or a self-contained HTML export (``repro dash``).
+  dashboards or a self-contained HTML export (``repro dash``).  Both
+  collectors sample their probes through one
+  :class:`~repro.obs.sampler.Sampler`.
 
 * :mod:`~repro.obs.explain` is the *differential* layer: it diffs two
   runs (stack vs stack, baseline vs candidate bench JSON, faulted vs
@@ -42,7 +43,9 @@ Build a traced stack with ``make_stack(kind, trace=True)`` and read
 ``repro bench`` CLIs; ``make_stack(kind, telemetry=True)`` attaches the
 streaming collector as ``stack.telemetry`` and
 ``make_stack(kind, recorder=True)`` the flight recorder as
-``stack.recorder``.
+``stack.recorder``.  Every optional layer follows one contract: the
+attribute is ``None`` when the layer is off, and each hook site guards
+with ``if x is not None:`` (simlint rule O301).
 """
 
 from .bench import (
@@ -97,11 +100,9 @@ from .profile import (
 )
 from .proxy import SYSCALL_NAMES, TracedClient
 from .tracer import (
-    NULL_TRACER,
     CounterSample,
     LatencyHistogram,
     MessageEvent,
-    NullTracer,
     PointEvent,
     Span,
     Tracer,
@@ -109,8 +110,6 @@ from .tracer import (
 
 __all__ = [
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "Span",
     "PointEvent",
     "MessageEvent",

@@ -38,7 +38,7 @@ dumps its last-N context window as a span-linked JSON snapshot whenever
 a simsan S-code or telemetry T-watcher finding fires — scale-out
 findings arrive with evidence.  The disabled layer is the attribute
 being ``None``; every hook site guards with ``if recorder is not
-None:`` (simlint rule O303), so recorder-off runs execute the exact
+None:`` (simlint rule O301), so recorder-off runs execute the exact
 same event sequence as before the layer existed.
 """
 
@@ -94,7 +94,7 @@ class FlightRecorder:
     observer: :meth:`note_event` joins ``Simulator.observers``, so a
     kernel without a recorder pays nothing beyond its empty observer
     test.  The transport and telemetry hold ``recorder = None`` by
-    default and guard with ``if recorder is not None:`` (the O303
+    default and guard with ``if recorder is not None:`` (the O301
     pattern).  Enabled, each kernel-event note is a tuple append into a
     fixed-size :class:`collections.deque` — cheap enough to leave on for
     scale-out runs.  When a sanitizer S-code or telemetry T-watcher
@@ -104,8 +104,6 @@ class FlightRecorder:
     The recorder observes and never schedules, so an attached recorder
     leaves the simulated event sequence byte-identical.
     """
-
-    enabled = True
 
     def __init__(self, sim: Any, capacity: int = 256):
         if capacity < 1:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from .tracer import NullTracer
+from .tracer import Tracer
 
 __all__ = ["TracedClient", "SYSCALL_NAMES"]
 
@@ -37,7 +37,7 @@ class TracedClient:
     quiesce, and fd bookkeeping all pass straight through).
     """
 
-    def __init__(self, client: Any, tracer: NullTracer,
+    def __init__(self, client: Any, tracer: Tracer,
                  track: str = "client"):
         self._client = client
         self._tracer = tracer

@@ -17,13 +17,14 @@ Three pieces:
   oldest windows are dropped (and counted), never grown.
 * :class:`Telemetry` — the per-stack collector.  Registered probes
   (links, disks, RAID, caches, RPC peers, iSCSI sessions, per-tier
-  resource queues) are sampled on a fixed simulated-time interval by one
-  background process; push-style hooks (:meth:`Telemetry.count`,
-  :meth:`Telemetry.observe`) let hot paths contribute counters.  The
-  disabled form of the layer is simply ``telem = None`` — every hook
-  site guards with ``if telem is not None:`` (the pattern simlint rule
-  O302 enforces), so a telemetry-off run executes the exact same event
-  sequence as before the layer existed.  Invariant *watchers* scan the
+  resource queues) are sampled on a fixed simulated-time interval by the
+  shared :class:`~repro.obs.sampler.Sampler`; push-style hooks
+  (:meth:`Telemetry.count`, :meth:`Telemetry.observe`) let hot paths
+  contribute counters.  The disabled form of the layer is simply
+  ``telem = None`` — every hook site guards with ``if telem is not
+  None:`` (the pattern simlint rule O301 enforces), so a telemetry-off
+  run executes the exact same event sequence as before the layer
+  existed.  Invariant *watchers* scan the
   stream as it accumulates and report findings the way the simsan
   sanitizers do (stable codes, human messages).
 * :class:`Heartbeat` — wall-clock-paced progress lines on stderr so long
@@ -49,6 +50,7 @@ import sys
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..sim.stats import LatencyHistogram
+from .sampler import Sampler
 
 __all__ = [
     "SeriesRollup",
@@ -414,27 +416,25 @@ class Telemetry:
 
     There is no null object: the disabled layer is the literal ``None``,
     and every hook site guards with ``if telem is not None:`` — one
-    attribute load and branch, the same contract the fault injector and
-    sanitizers follow (simlint O302 checks the shape).  ``enabled`` is
-    provided for symmetry with :class:`~repro.obs.tracer.Tracer`.
+    attribute load and branch, the same contract the tracer, fault
+    injector and sanitizers follow (simlint O301 checks the shape).
 
     ``interval`` is the sampling period and ``window`` the rollup-window
-    width, both in simulated seconds; ``capacity`` bounds the ring.  The
-    sampler is one background process; probes registered *after* it
-    starts are picked up on the next tick (rate baselines are seeded at
-    registration — the tracer's historical silent-drop bug is designed
-    out here).
+    width, both in simulated seconds; ``capacity`` bounds the ring.
+    Register probes with ``telem.sampler.add(name, fn, kind, tag)``
+    (``tag`` labels the series for the watchers and the dashboard:
+    ``"util"`` for utilization in [0, 1], ``"queue"`` for depth,
+    ``"rate"``, ``"progress"``, or plain ``"gauge"``) and start them
+    with ``telem.sampler.start()``.  A probe's series appears from its
+    first sample; the watchers and heartbeat run after every tick.
     """
-
-    enabled = True
 
     def __init__(self, sim: Any, interval: float = 0.002,
                  window: float = 0.032, capacity: int = 64,
                  heartbeat: Optional[Heartbeat] = None):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
         self.sim = sim
-        self.interval = interval
+        self.sampler = Sampler(sim, interval, "telemetry.sampler",
+                               self._record, self._tick)
         self.window = window
         self.capacity = capacity
         self.heartbeat = heartbeat
@@ -445,11 +445,6 @@ class Telemetry:
         self.tags: Dict[str, str] = {}
         self.samples = 0
         self.findings: List[TelemetryFinding] = []
-        self._probes: List[Tuple[str, Callable[[], float], str, float]] = []
-        self._last: Dict[str, float] = {}
-        self._sampler = None
-
-    # -- registration ---------------------------------------------------------
 
     def _rollup_for(self, name: str, tag: str) -> SeriesRollup:
         rollup = self.series.get(name)
@@ -459,80 +454,30 @@ class Telemetry:
             self.tags[name] = tag
         return rollup
 
-    def add_series(self, name: str, fn: Callable[[], float],
-                   kind: str = "gauge", tag: str = "gauge",
-                   scale: float = 1.0) -> None:
-        """Register a sampled series.
-
-        ``kind`` follows the tracer's probe vocabulary: ``"gauge"``
-        records ``fn()`` as-is; ``"cumulative"`` and ``"rate"`` record
-        the per-second rate of change of a growing total (clamped at 0).
-        ``tag`` labels the series for the watchers and the dashboard:
-        ``"util"`` (utilization in [0, 1]), ``"queue"`` (depth),
-        ``"rate"``, ``"progress"``, or plain ``"gauge"``.
-
-        Registration while the sampler is live is fully supported: the
-        rate baseline is seeded immediately, so the series appears from
-        the next tick onward.
-        """
-        if kind not in ("gauge", "cumulative", "rate"):
-            raise ValueError("unknown series kind %r" % (kind,))
-        if name in self.series:
-            raise ValueError("series %r already registered" % (name,))
-        self._rollup_for(name, tag)
-        self._probes.append((name, fn, kind, scale))
-        if kind != "gauge":
-            self._last[name] = fn()
-
     # -- push hooks (guard call sites with `if telem is not None:`) ----------
 
     def count(self, name: str, value: float = 1.0) -> None:
         """Accumulate a push counter at the current simulated time."""
-        rollup = self.series.get(name)
-        if rollup is None:
-            rollup = self._rollup_for(name, "progress")
-        rollup.record(self.sim.now, value)
+        self._rollup_for(name, "progress").record(self.sim.now, value)
 
     def observe(self, name: str, value: float) -> None:
         """Record a push gauge observation at the current simulated time."""
-        rollup = self.series.get(name)
-        if rollup is None:
-            rollup = self._rollup_for(name, "gauge")
-        rollup.record(self.sim.now, value)
+        self._rollup_for(name, "gauge").record(self.sim.now, value)
 
     # -- sampling -------------------------------------------------------------
 
-    def start(self) -> None:
-        """Spawn the background sampler (idempotent)."""
-        if self._sampler is None:
-            self._sampler = self.sim.spawn(self._sample_loop(),
-                                           name="telemetry.sampler")
+    def _record(self, now: float, name: str, tag: str, value: float) -> None:
+        self._rollup_for(name, tag).record(now, value)
 
-    def _sample_loop(self):
-        sim = self.sim
-        last = self._last
-        last_t = sim.now
-        while True:
-            yield sim.timeout(self.interval)
-            now = sim.now
-            dt = now - last_t
-            last_t = now
-            for name, fn, kind, scale in self._probes:
-                value = fn()
-                if kind != "gauge":
-                    previous = last.get(name, value)
-                    last[name] = value
-                    if dt <= 0:
-                        continue
-                    value = max(0.0, value - previous) / dt
-                self.series[name].record(now, value * scale)
-            self.samples += 1
-            if self.samples % _WATCH_WINDOWS == 0:
-                self._run_watchers(now)
-            hb = self.heartbeat
-            if hb is not None:
-                hb.maybe_beat(sim_now=now, events=sim._sequence,
-                              calendar=len(sim._calendar))
+    def _tick(self, now: float) -> None:
+        self.samples += 1
+        if self.samples % _WATCH_WINDOWS == 0:
+            self._run_watchers(now)
+        hb = self.heartbeat
+        if hb is not None:
+            sim = self.sim
+            hb.maybe_beat(sim_now=now, events=sim._sequence,
+                          calendar=len(sim._calendar))
 
     # -- watchers -------------------------------------------------------------
 

@@ -20,7 +20,7 @@ import math
 from typing import Generator
 
 from ..core.params import DiskParams
-from ..obs.tracer import NULL_TRACER, NullTracer
+from ..obs.tracer import Tracer
 from ..sim import Resource, Simulator
 from .blockdev import BlockDevice
 
@@ -36,7 +36,7 @@ class Disk(BlockDevice):
         params: DiskParams = None,
         nblocks: int = None,
         name: str = "disk",
-        tracer: NullTracer = None,
+        tracer: Optional[Tracer] = None,
     ):
         self.params = params if params is not None else DiskParams()
         super().__init__(
@@ -44,7 +44,7 @@ class Disk(BlockDevice):
             name=name,
         )
         self.sim = sim
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         self.queue = Resource(sim, capacity=1, name=name + ".queue")
         self._head = 0  # block number just past the last access
         self.busy_time = 0.0
@@ -71,7 +71,7 @@ class Disk(BlockDevice):
     def _access(self, start: int, count: int, is_write: bool = False) -> Generator:
         self.check_range(start, count)
         span = None
-        if self.tracer.enabled:
+        if self.tracer is not None:
             # Begun before queueing so the span length includes queue wait.
             span = self.tracer.begin_span(
                 "disk." + ("write" if is_write else "read"),

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Generator, List, Optional, Tuple
 
 from ..core.params import DiskParams, RaidParams
-from ..obs.tracer import NULL_TRACER, NullTracer
+from ..obs.tracer import Tracer
 from ..sim import Process, Resource, Simulator
 from .blockdev import BlockDevice
 from .disk import Disk
@@ -42,10 +42,10 @@ class Raid5Volume(BlockDevice):
         parity_cpu_per_byte: float = 0.0,
         io_cpu: float = 0.0,
         name: str = "raid5",
-        tracer: Optional[NullTracer] = None,
+        tracer: Optional[Tracer] = None,
     ):
         self.raid = raid_params if raid_params is not None else RaidParams()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer
         disk_params = disk_params if disk_params is not None else DiskParams()
         ndisks = self.raid.data_disks + 1
         self.disks: List[Disk] = [
@@ -122,7 +122,7 @@ class Raid5Volume(BlockDevice):
     def _spawn_io(self, generator: Generator) -> Process:
         """Spawn a per-disk job, carrying span parentage across processes."""
         job = self.sim.spawn(generator)
-        if self.tracer.enabled:
+        if self.tracer is not None:
             job.trace_parent = self.tracer.current_span_id()
         return job
 
@@ -130,7 +130,7 @@ class Raid5Volume(BlockDevice):
         """Coroutine: read ``count`` blocks, striped across the spindles."""
         self.check_range(start, count)
         span = None
-        if self.tracer.enabled:
+        if self.tracer is not None:
             span = self.tracer.begin_span(
                 "raid.read", cat="raid", track="server",
                 start=start, count=count, degraded=self._failed is not None,
@@ -154,7 +154,7 @@ class Raid5Volume(BlockDevice):
         """Coroutine: write ``count`` blocks (full-stripe or RMW path)."""
         self.check_range(start, count)
         span = None
-        if self.tracer.enabled:
+        if self.tracer is not None:
             span = self.tracer.begin_span(
                 "raid.write", cat="raid", track="server",
                 start=start, count=count,
@@ -283,7 +283,7 @@ class Raid5Volume(BlockDevice):
             )
         self._failed = disk
         self.disk_failures += 1
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.instant(
                 "raid.disk-fail", cat="fault", track="server", disk=disk,
             )
@@ -318,7 +318,7 @@ class Raid5Volume(BlockDevice):
             self.rebuild_writes += 1
             at += length
         self._failed = None
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.instant(
                 "raid.rebuilt", cat="fault", track="server",
                 disk=failed, blocks=total,

@@ -210,17 +210,25 @@ def test_o301_flags_unguarded_tracer_hook():
 
 
 def test_o301_negative_guarded_and_end_span():
-    src = ("if tracer.enabled:\n"
+    src = ("if tracer is not None:\n"
            "    tracer.instant('x', cat='y')\n")
     assert codes(src) == []
-    # end_span(None) is the documented safe no-op; never flagged.
+    # Any `if` that mentions the receiver is a guard.
+    src = ("if self.tracer.enabled:\n"
+           "    self.tracer.instant('x', cat='y')\n")
+    assert codes(src) == []
+    # end_span only runs on a span a guarded begin_span returned.
     assert codes("tracer.end_span(span)\n") == []
 
 
 def test_o302_flags_unguarded_telemetry_hook():
-    assert codes("self.telem.count('net.delivered')\n") == ["O302"]
-    assert codes("telem.observe('queue.depth', 4.0)\n") == ["O302"]
-    assert codes("self.telemetry.count('ops', 2.0)\n") == ["O302"]
+    assert codes("self.telem.count('net.delivered')\n") == ["O301"]
+    assert codes("telem.observe('queue.depth', 4.0)\n") == ["O301"]
+    assert codes("self.telemetry.count('ops', 2.0)\n") == ["O301"]
+    # A guard on another layer's receiver does not cover this one.
+    src = ("if self.tracer is not None:\n"
+           "    self.telem.count('ops')\n")
+    assert codes(src) == ["O301"]
 
 
 def test_o302_negative_guarded():
@@ -238,15 +246,15 @@ def test_o302_negative_guarded():
 
 
 def test_o302_suppressed():
-    src = "self.telem.count('x')  # simlint: disable=O302\n"
+    src = "self.telem.count('x')  # simlint: disable=O301\n"
     assert codes(src) == []
 
 
 def test_o303_flags_unguarded_recorder_hook():
-    assert codes("self.recorder.note_event(record)\n") == ["O303"]
-    assert codes("recorder.note_message('c2s', msg)\n") == ["O303"]
+    assert codes("self.recorder.note_event(record)\n") == ["O301"]
+    assert codes("recorder.note_message('c2s', msg)\n") == ["O301"]
     assert codes("self.recorder.dump('T501', 'telemetry', 'msg')\n") \
-        == ["O303"]
+        == ["O301"]
 
 
 def test_o303_negative_guarded_and_foreign_receivers():
@@ -263,7 +271,7 @@ def test_o303_negative_guarded_and_foreign_receivers():
 
 
 def test_o303_suppressed():
-    src = "self.recorder.dump('S403', 'simsan', 'x')  # simlint: disable=O303\n"
+    src = "self.recorder.dump('S403', 'simsan', 'x')  # simlint: disable=O301\n"
     assert codes(src) == []
 
 
@@ -273,7 +281,7 @@ def test_o303_suppressed():
 def test_rule_catalog_and_hints():
     assert set(simlint.RULES) == {
         "D101", "D102", "D103", "D104", "P201", "P202", "P203",
-        "O301", "O302", "O303", "S501", "S502", "S503",
+        "O301", "S501", "S502", "S503",
         "M601", "M602", "M603",
     }
     violations = lint_source("import time\nt = time.time()\n")

@@ -161,7 +161,7 @@ def test_o301_dropped_when_every_call_site_is_guarded(tmp_path):
         "user.py": ("from hooks import emit\n"
                     "\n"
                     "def step(tracer, value):\n"
-                    "    if tracer.enabled:\n"
+                    "    if tracer is not None:\n"
                     "        emit(tracer, value)\n"),
     })
     assert [f for f in found if f[2] == "O301"] == []
@@ -174,7 +174,7 @@ def test_o301_kept_when_one_call_site_is_unguarded(tmp_path):
         "user.py": ("from hooks import emit\n"
                     "\n"
                     "def guarded(tracer, value):\n"
-                    "    if tracer.enabled:\n"
+                    "    if tracer is not None:\n"
                     "        emit(tracer, value)\n"
                     "\n"
                     "def bare(tracer, value):\n"
@@ -193,7 +193,19 @@ def test_o302_guard_inference_cross_module(tmp_path):
                     "    if telem is not None:\n"
                     "        push(telem, value)\n"),
     })
-    assert [f for f in found if f[2] == "O302"] == []
+    assert [f for f in found if f[2] == "O301"] == []
+    # The callers must guard the helper's own receiver kind: a tracer
+    # guard does not cover a telemetry push.
+    found = codes_in_tree(tmp_path / "other", {
+        "hooks.py": ("def push(telem, value):\n"
+                     "    telem.observe('lat', value)\n"),
+        "user.py": ("from hooks import push\n"
+                    "\n"
+                    "def step(tracer, telem, value):\n"
+                    "    if tracer is not None:\n"
+                    "        push(telem, value)\n"),
+    })
+    assert ("hooks.py", 2, "O301") in found
 
 
 def test_o303_guard_inference_keeps_unguarded_helper(tmp_path):
@@ -202,7 +214,7 @@ def test_o303_guard_inference_keeps_unguarded_helper(tmp_path):
                      "    recorder.note_event(event)\n"),
     })
     # No call sites at all: the per-file finding must survive.
-    assert ("hooks.py", 2, "O303") in found
+    assert ("hooks.py", 2, "O301") in found
 
 
 # ----------------------------------------------------- S501 shard safety

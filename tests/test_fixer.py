@@ -61,7 +61,7 @@ def test_fix_inserts_tracer_guard():
            "    tracer.instant('v', value)\n")
     fixed, count = fix_source(src)
     assert count == 1
-    assert "    if tracer.enabled:\n        tracer.instant" in fixed
+    assert "    if tracer is not None:\n        tracer.instant" in fixed
     assert remaining(fixed) == []
 
 

@@ -8,9 +8,7 @@ import pytest
 from repro.cli import main
 from repro.core.comparison import make_stack
 from repro.obs import (
-    NULL_TRACER,
     LatencyHistogram,
-    NullTracer,
     Tracer,
     chrome_trace,
     format_op_summary,
@@ -22,28 +20,6 @@ from repro.sim import Simulator
 
 
 # ---------------------------------------------------------------- unit: tracer
-
-def test_null_tracer_is_disabled_and_inert():
-    assert NULL_TRACER.enabled is False
-    assert NULL_TRACER.begin_span("x") is None
-    NULL_TRACER.end_span(None)
-    NULL_TRACER.instant("x")
-    assert NULL_TRACER.current_span_id() is None
-
-
-def test_null_tracer_wrap_is_passthrough():
-    sim = Simulator()
-
-    def inner():
-        yield sim.timeout(1.0)
-        return 42
-
-    def outer():
-        result = yield from NULL_TRACER.wrap("x", inner())
-        return result
-
-    assert sim.run_process(outer()) == 42
-
 
 def test_spans_nest_within_a_process():
     sim = Simulator()
@@ -188,10 +164,10 @@ def test_latency_histogram_fraction_zero_returns_min():
 
 def test_probe_sampling_records_counter_samples():
     sim = Simulator()
-    tracer = Tracer(sim)
+    tracer = Tracer(sim, interval=1.0)
     ticks = {"n": 0.0}
-    tracer.add_probe("gauge.x", lambda: ticks["n"], kind="gauge")
-    tracer.start_sampling(interval=1.0)
+    tracer.sampler.add("gauge.x", lambda: ticks["n"], kind="gauge")
+    tracer.sampler.start()
 
     def work():
         for _ in range(5):
@@ -205,14 +181,14 @@ def test_probe_sampling_records_counter_samples():
 
 
 def test_probe_added_after_start_sampling_is_sampled():
-    # Regression: probes registered after start_sampling() used to be
+    # Regression: probes registered after sampler.start() used to be
     # silently dropped (the sampler only saw the snapshot at start).
     sim = Simulator()
-    tracer = Tracer(sim)
+    tracer = Tracer(sim, interval=1.0)
     ticks = {"n": 0.0}
-    tracer.start_sampling(interval=1.0)
-    tracer.add_probe("late.gauge", lambda: ticks["n"], kind="gauge")
-    tracer.add_probe("late.rate", lambda: ticks["n"], kind="rate")
+    tracer.sampler.start()
+    tracer.sampler.add("late.gauge", lambda: ticks["n"], kind="gauge")
+    tracer.sampler.add("late.rate", lambda: ticks["n"], kind="rate")
 
     def work():
         for _ in range(5):
@@ -230,14 +206,14 @@ def test_probe_added_after_start_sampling_is_sampled():
 
 
 def test_start_sampling_before_any_probe_still_samples():
-    # start_sampling() with zero probes must remember the request and
+    # sampler.start() with zero probes must remember the request and
     # begin sampling once the first probe arrives.
     sim = Simulator()
-    tracer = Tracer(sim)
-    tracer.start_sampling(interval=0.5)
-    assert tracer._sampler is None  # nothing to sample yet
+    tracer = Tracer(sim, interval=0.5)
+    tracer.sampler.start()
+    assert tracer.sampler.process is None  # nothing to sample yet
     ticks = {"n": 0.0}
-    tracer.add_probe("g", lambda: ticks["n"], kind="gauge")
+    tracer.sampler.add("g", lambda: ticks["n"], kind="gauge")
 
     def work():
         for _ in range(4):
@@ -326,6 +302,25 @@ def test_tracing_does_not_change_message_counts():
         assert traced.total_bytes == untraced.total_bytes
         assert traced.by_op == untraced.by_op
 
+    # The tracer's CPU probes only read the busy-time integrals: a traced
+    # run reports the same clock and the same busy time, bit for bit.
+    def strided(client):
+        fd = yield from client.creat("/big")
+        for _ in range(1000):
+            yield from client.write(fd, 65536)
+        yield from client.fsync(fd)
+        for i in range(1000):
+            yield from client.pread(fd, 65536, (i * 7919 % 1000) * 65536)
+
+    figures = []
+    for trace in (False, True):
+        stack = make_stack("nfsv3", trace=trace)
+        stack.run(strided(stack.client))
+        figures.append((stack.now,
+                        stack.client_host.cpu.tracker.busy_time,
+                        stack.server_host.cpu.tracker.busy_time))
+    assert figures[1] == figures[0]
+
 
 def test_traced_message_count_matches_transport_counters():
     stack, _messages = _warm_read_stack("nfsv3")
@@ -336,8 +331,7 @@ def test_traced_message_count_matches_transport_counters():
 
 def test_untraced_stack_exposes_raw_client_and_null_tracer():
     stack = make_stack("nfsv3")
-    assert isinstance(stack.tracer, NullTracer)
-    assert not stack.tracer.enabled
+    assert stack.tracer is None
     assert stack.client is stack.raw_client
 
 

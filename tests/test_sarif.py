@@ -5,7 +5,7 @@ offline validator, which itself must reject broken documents), and the
 CLI must keep its exit-code and byte-stability contracts: 0 clean /
 1 violations, ``--format json|sarif`` byte-identical across reruns,
 ``--fix`` a no-op on the second run, ``--debt`` failing only on
-reasonless suppressions.
+reasonless suppressions or ones naming an unknown rule code.
 """
 
 from __future__ import annotations
@@ -135,6 +135,19 @@ def test_cli_debt_exit_codes(tmp_path, capsys):
         "t = time.time()  # simlint: disable=D101\n")
     assert main(["lint", "--debt", str(bare)]) == 1
     assert "NO REASON" in capsys.readouterr().out
+    # A suppression naming a retired or misspelt code is stale debt;
+    # `all` stays a valid code.
+    stale = tmp_path / "stale.py"
+    stale.write_text(
+        "import time\n"
+        "t = time.time()  # simlint: disable=D101,O302 -- host timing\n")
+    assert main(["lint", "--debt", str(stale)]) == 1
+    assert "UNKNOWN CODE O302" in capsys.readouterr().out
+    catch_all = tmp_path / "catch_all.py"
+    catch_all.write_text(
+        "import time\n"
+        "t = time.time()  # simlint: disable=all -- host timing\n")
+    assert main(["lint", "--debt", str(catch_all)]) == 0
 
 
 def test_debt_ignores_suppressions_inside_strings(tmp_path):
@@ -150,10 +163,10 @@ def test_debt_ignores_suppressions_inside_strings(tmp_path):
 
 def test_debt_parses_file_wide_scope(tmp_path):
     (tmp_path / "wide.py").write_text(
-        "# simlint: disable-file=O301,O302 -- fixtures drive hooks\n"
+        "# simlint: disable-file=O301,D104 -- fixtures drive hooks\n"
         "x = 1\n")
     suppressions = simlint.collect_suppressions([str(tmp_path)])
     assert len(suppressions) == 1
     assert suppressions[0].scope == "file"
-    assert suppressions[0].codes == ("O301", "O302")
+    assert suppressions[0].codes == ("O301", "D104")
     assert suppressions[0].reason == "fixtures drive hooks"

@@ -14,7 +14,7 @@ The contracts under test:
 * watchers — T501/T502/T503 fire on the pathologies they name, once per
   (code, series), and stay quiet on healthy runs.
 """
-# simlint: disable-file=O302 -- tests drive the telemetry collector directly
+# simlint: disable-file=O301 -- tests drive the telemetry collector directly
 
 from __future__ import annotations
 
@@ -37,6 +37,7 @@ from repro.obs.telemetry import (
     merge_snapshots,
 )
 from repro.obs.bench import WORKLOADS
+from repro.obs.tracer import Tracer
 from repro.sim.kernel import Simulator
 
 
@@ -196,9 +197,9 @@ def test_telemetry_samples_registered_series():
     sim = Simulator()
     telem = Telemetry(sim, interval=0.5, window=1.0, capacity=16)
     state = {"v": 0.0}
-    telem.add_series("g", lambda: state["v"], kind="gauge", tag="gauge")
-    telem.add_series("r", lambda: state["v"], kind="rate", tag="rate")
-    telem.start()
+    telem.sampler.add("g", lambda: state["v"], kind="gauge", label="gauge")
+    telem.sampler.add("r", lambda: state["v"], kind="rate", label="rate")
+    telem.sampler.start()
 
     def work():
         for _ in range(8):
@@ -226,13 +227,18 @@ def test_telemetry_push_hooks_autocreate_series():
     assert snap["series"]["depth"]["rollup"]["max"] == 7.0
 
 
-def test_telemetry_rejects_duplicates_and_bad_kind():
-    telem = Telemetry(Simulator())
-    telem.add_series("x", lambda: 0.0)
+@pytest.mark.parametrize("collector", [Telemetry, Tracer])
+def test_telemetry_rejects_duplicates_and_bad_kind(collector):
+    sampler = collector(Simulator()).sampler
+    sampler.add("x", lambda: 0.0)
     with pytest.raises(ValueError):
-        telem.add_series("x", lambda: 0.0)
+        sampler.add("x", lambda: 0.0)
     with pytest.raises(ValueError):
-        telem.add_series("y", lambda: 0.0, kind="bogus")
+        sampler.add("y", lambda: 0.0, kind="bogus")
+    # A zero interval would spin the sampler at one instant forever.
+    for interval in (0, -0.5):
+        with pytest.raises(ValueError):
+            collector(Simulator(), interval=interval)
 
 
 def _watch_run(setup):
@@ -240,7 +246,7 @@ def _watch_run(setup):
     sim = Simulator()
     telem = Telemetry(sim, interval=0.1, window=0.1, capacity=64)
     state = setup(telem)
-    telem.start()
+    telem.sampler.start()
 
     def work():
         for step in range(120):
@@ -254,7 +260,7 @@ def _watch_run(setup):
 def test_watcher_t501_fires_on_unbounded_queue_growth():
     def setup(telem):
         depth = {"v": 0.0}
-        telem.add_series("q", lambda: depth["v"], tag="queue")
+        telem.sampler.add("q", lambda: depth["v"], label="queue")
 
         def step(i):
             depth["v"] = float(i)  # strictly growing, past the alarm depth
@@ -268,7 +274,7 @@ def test_watcher_t501_fires_on_unbounded_queue_growth():
 
 def test_watcher_t502_fires_on_pegged_utilization():
     def setup(telem):
-        telem.add_series("u", lambda: 1.0, tag="util")
+        telem.sampler.add("u", lambda: 1.0, label="util")
         return lambda i: None
 
     findings = _watch_run(setup)
@@ -277,7 +283,7 @@ def test_watcher_t502_fires_on_pegged_utilization():
 
 def test_watcher_t503_fires_on_stalled_progress_with_queued_work():
     def setup(telem):
-        telem.add_series("q", lambda: 5.0, tag="queue")
+        telem.sampler.add("q", lambda: 5.0, label="queue")
 
         def step(i):
             if i < 5:
@@ -293,8 +299,8 @@ def test_watcher_t503_fires_on_stalled_progress_with_queued_work():
 def test_watchers_stay_quiet_on_healthy_series():
     def setup(telem):
         depth = {"v": 0.0}
-        telem.add_series("q", lambda: depth["v"], tag="queue")
-        telem.add_series("u", lambda: 0.4, tag="util")
+        telem.sampler.add("q", lambda: depth["v"], label="queue")
+        telem.sampler.add("u", lambda: 0.4, label="util")
 
         def step(i):
             depth["v"] = float(i % 3)  # bounded queue
@@ -394,9 +400,9 @@ def test_sparkline_scales_and_pads():
 def test_render_dashboard_sections_and_findings():
     sim = Simulator()
     telem = Telemetry(sim, interval=0.1, window=0.2)
-    telem.add_series("u", lambda: 0.5, tag="util")
-    telem.add_series("q", lambda: 2.0, tag="queue")
-    telem.start()
+    telem.sampler.add("u", lambda: 0.5, label="util")
+    telem.sampler.add("q", lambda: 2.0, label="queue")
+    telem.sampler.start()
     sim.run_process(iter(sim.timeout(1.0) for _ in range(1)))
     snap = telem.snapshot()
     text = render_dashboard(snap, title="unit", width=20)
@@ -415,8 +421,8 @@ def test_render_dashboard_sections_and_findings():
 def test_render_html_is_self_contained():
     sim = Simulator()
     telem = Telemetry(sim, interval=0.1, window=0.2)
-    telem.add_series("u", lambda: 0.5, tag="util")
-    telem.start()
+    telem.sampler.add("u", lambda: 0.5, label="util")
+    telem.sampler.start()
     sim.run_process(iter(sim.timeout(0.5) for _ in range(1)))
     html = render_html([("section <one>", telem.snapshot())], title="t&c")
     assert html.startswith("<!DOCTYPE html>")
