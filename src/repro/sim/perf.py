@@ -115,26 +115,27 @@ class _LocalFabric:
 class _ShardFabric:
     """Groups mapped round-robin onto the shards of a ShardedSimulator."""
 
-    __slots__ = ("sharded", "nshards")
+    __slots__ = ("shards", "nshards")
 
     def __init__(self, sharded: ShardedSimulator):
-        self.sharded = sharded
+        self.shards = sharded.shards
         self.nshards = len(sharded.shards)
 
     def shard_of(self, group: int) -> int:
         return group % self.nshards
 
     def sim_for(self, group: int) -> Simulator:
-        return self.sharded.shard(self.shard_of(group)).sim
+        return self.shards[self.shard_of(group)].sim
 
     def bind(self, group: int, port: str,
              handler: Callable[[Any], None]) -> None:
-        self.sharded.shard(self.shard_of(group)).bind(port, handler)
+        self.shards[self.shard_of(group)].bind(port, handler)
 
     def post(self, src: int, dst: int, port: str, payload: Any,
              delay: float) -> None:
-        self.sharded.shard(self.shard_of(src)).post(
-            self.shard_of(dst), port, payload, delay)
+        # The hot path of every sharded storm and farm: index directly.
+        nshards = self.nshards
+        self.shards[src % nshards].post(dst % nshards, port, payload, delay)
 
 
 def _storm_group(fabric, group: int, clients_per_group: int, requests: int,

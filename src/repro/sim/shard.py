@@ -112,7 +112,7 @@ class Shard:
 
     __slots__ = ("id", "nshards", "name", "sim", "lookahead", "ports",
                  "outbox", "_out_seq", "_phases", "_phase_procs",
-                 "_collector")
+                 "_cursor", "_order_findings", "_collector")
 
     def __init__(self, shard_id: int, nshards: int, sim: Simulator,
                  lookahead: float, name: str = ""):
@@ -126,6 +126,10 @@ class Shard:
         self._out_seq = 0
         self._phases: Dict[str, List[Tuple[Callable[[], Generator], str]]] = {}
         self._phase_procs: List[Process] = []
+        self._cursor = 0
+        # The S403 findings list of a CheckedSimulator, drained per window.
+        self._order_findings: Optional[List[Any]] = getattr(
+            sim, "order_findings", None)
         self._collector: Optional[Callable[[], Any]] = None
 
     # -- configuration (before the executor starts) ---------------------------
@@ -181,15 +185,28 @@ class Shard:
               horizon: Optional[float],
               advance: Optional[float] = None
               ) -> Tuple[int, Optional[float], bool,
-                         int, List[ShardMessage], List[Any]]:
+                         int, List[ShardMessage], Optional[List[Any]]]:
         """Inject ``messages``, start ``phase`` if given, run one window.
 
         ``advance`` (used by the end-of-phase barrier) moves the clock
         forward to the phase watermark after the window, so every shard
         begins the next phase at the same instant.
 
+        Phase completion is tracked with a cursor into the phase's
+        processes, in spawn order: it moves only past finished ones,
+        each checked for failure once, and the phase is done when it
+        reaches the end.  A window therefore costs O(1) amortized
+        bookkeeping, not a scan of every phase process.  (A failure
+        behind the cursor still surfaces at once: nothing waits on a
+        phase process, so :meth:`~repro.sim.Simulator.run_window`
+        raises it as unhandled.)
+
         Returns ``(shard_id, next_when, phase_done, records, outbox,
         findings)`` — everything the driver needs, in picklable form.
+        ``findings`` is the S403 list of a sanitized shard (``None``
+        otherwise).  A fresh outbox or findings list is allocated only
+        when the old one is non-empty; :meth:`ShardedSimulator.run_phase`
+        consumes both before the next window.
         """
         sim = self.sim
         ports = self.ports
@@ -201,24 +218,29 @@ class Shard:
                 sim.spawn(factory(), name=name or "%s@%s" % (phase, self.name))
                 for factory, name in self._phases.get(phase, ())
             ]
+            self._cursor = 0
         count = sim.run_window(horizon) if horizon is not None else 0
         if advance is not None and advance > sim.now:
             sim.now = advance
-        done = True
-        for proc in self._phase_procs:
+        procs = self._phase_procs
+        cursor = self._cursor
+        end = len(procs)
+        while cursor < end:
+            proc = procs[cursor]
             if not proc.triggered:
-                done = False
-            elif proc.ok is False:
+                break
+            if proc.ok is False:
                 proc.defused = True
                 raise proc.value
+            cursor += 1
+        self._cursor = cursor
         outbox = self.outbox
-        self.outbox = []
-        findings: List[Any] = []
-        order = getattr(sim, "order_findings", None)
-        if order:
-            findings = list(order)
-            del order[:]
-        return (self.id, sim.peek(), done, count, outbox, findings)
+        if outbox:
+            self.outbox = []
+        findings = self._order_findings
+        if findings:
+            self._order_findings = sim.order_findings = []
+        return (self.id, sim.peek(), cursor == end, count, outbox, findings)
 
     def _collect(self) -> Tuple[int, Any]:
         return (self.id,
@@ -405,8 +427,7 @@ class ShardedSimulator:
     """
 
     def __init__(self, nshards: int, lookahead: float, san: bool = False,
-                 executor: str = "sequential", jobs: Optional[int] = None,
-                 heartbeat: Optional[Any] = None):
+                 executor: str = "sequential", jobs: Optional[int] = None):
         if nshards < 1:
             raise ValueError("nshards must be >= 1, got %r" % (nshards,))
         if not lookahead > 0:
@@ -423,7 +444,6 @@ class ShardedSimulator:
         self.executor_kind = executor
         self.jobs = jobs
         self.san = san
-        self.heartbeat = heartbeat
         self._finding_cls = None
         if san:
             from ..check.simsan import CheckedSimulator, Finding
@@ -441,6 +461,7 @@ class ShardedSimulator:
         # phase may schedule below it (see run_phase's barrier).
         self._watermark = 0.0
         self._executor = None
+        self._closed = False
 
     # -- configuration --------------------------------------------------------
 
@@ -455,6 +476,10 @@ class ShardedSimulator:
     # -- driving --------------------------------------------------------------
 
     def _ensure_executor(self):
+        if self._closed:
+            # Under fork a new executor would fork the parent's shards,
+            # which never ran: refuse instead of serving stale state.
+            raise SimulationError("sharded simulator is closed")
         if self._executor is None:
             self._executor = _EXECUTOR_CLASSES[self.executor_kind](
                 self.shards, self.jobs)
@@ -480,36 +505,52 @@ class ShardedSimulator:
         quiesce) safe: without the barrier a shard that idled through
         one phase would still sit at an earlier time and could be sent
         messages arriving in another shard's past.
+
+        The synchronization cost per window is O(shards + routed messages),
+        independent of how many phase processes run: one pass over the
+        shard responses folds records, outboxes, findings, completion
+        and ``T_min``; a window with nothing in flight skips the sort,
+        the S407 check and the routing and hands every shard the same
+        empty list.  Raises :class:`SimulationError` after
+        :meth:`close`.
         """
         executor = self._ensure_executor()
         nshards = len(self.shards)
+        records = self.records_by_shard
         responses = executor.step_all([(phase, [], None, None)] * nshards)
         pending: List[ShardMessage] = []
         t_end: Optional[float] = None
         while True:
-            for (shard_id, _next_when, _done, count, outbox,
+            done = True
+            t_min: Optional[float] = None
+            for (shard_id, next_when, shard_done, count, outbox,
                  findings) in responses:
-                self.records_by_shard[shard_id] += count
-                pending.extend(outbox)
+                records[shard_id] += count
+                if outbox:
+                    pending.extend(outbox)
                 if findings:
                     self.findings.extend(findings)
-            all_done = all(response[2] for response in responses)
-            if all_done and t_end is None:
+                if not shard_done:
+                    done = False
+                if next_when is not None and (t_min is None
+                                              or next_when < t_min):
+                    t_min = next_when
+            if pending:
+                pending.sort(key=_message_key)
+                if t_min is None or pending[0].when < t_min:
+                    t_min = pending[0].when
+            if done and t_end is None:
                 # Freeze the phase's end time.  Every clock is <= the
                 # watermark, and (by the cross-phase invariant) so is no
                 # pending event below it except stragglers we still owe
                 # a clamped window.
                 t_end = self._watermark
-            whens = [response[1] for response in responses
-                     if response[1] is not None]
-            whens.extend(message.when for message in pending)
-            if not whens:
-                if all_done:
+            if t_min is None:
+                if done:
                     break
                 raise SimulationError(
                     "sharded phase %r deadlocked: every calendar is empty "
                     "and no messages are in flight" % (phase,))
-            t_min = min(whens)
             if t_end is not None and t_min >= t_end:
                 # Settled: nothing left below the watermark.  Park the
                 # in-flight messages (they all arrive at or above it)
@@ -519,39 +560,41 @@ class ShardedSimulator:
             if t_end is not None and horizon > t_end:
                 horizon = t_end
             self._watermark = horizon
-            pending.sort(key=_message_key)
-            route: List[List[ShardMessage]] = [[] for _ in range(nshards)]
-            for message in pending:
-                if self._finding_cls is not None:
-                    self._check_causality(message, t_min)
-                route[message.dst_shard].append(message)
-            self.cross_messages += len(pending)
-            pending = []
             self.rounds += 1
-            if self.heartbeat is not None:
-                self.heartbeat.maybe_beat(
-                    t_min, sum(self.records_by_shard),
-                    sum(len(shard.sim._calendar) for shard in self.shards))
-            responses = executor.step_all(
-                [(None, route[index], horizon, None)
-                 for index in range(nshards)])
+            if pending:
+                items = [(None, messages, horizon, None)
+                         for messages in self._route(pending, t_min)]
+                pending = []
+            else:
+                items = [(None, [], horizon, None)] * nshards
+            responses = executor.step_all(items)
         # End-of-phase barrier: flush stragglers, align the clocks.
-        pending.sort(key=_message_key)
-        route = [[] for _ in range(nshards)]
-        for message in pending:
-            if self._finding_cls is not None:
-                self._check_causality(message, t_end)
-            route[message.dst_shard].append(message)
-        self.cross_messages += len(pending)
         self.rounds += 1
         responses = executor.step_all(
-            [(None, route[index], None, t_end) for index in range(nshards)])
+            [(None, messages, None, t_end)
+             for messages in self._route(pending, t_end)])
         for shard_id, _next_when, _done, count, outbox, findings in responses:
-            self.records_by_shard[shard_id] += count
+            records[shard_id] += count
             if outbox:  # pragma: no cover - a horizon-less step runs nothing
                 raise SimulationError("barrier step produced messages")
             if findings:
                 self.findings.extend(findings)
+
+    def _route(self, pending: List[ShardMessage],
+               t_min: Optional[float]) -> List[List[ShardMessage]]:
+        """Split sorted ``pending`` into per-destination inboxes.
+
+        Counts the messages as routed and, under ``san=True``, checks
+        each one against the window floor ``t_min`` (S407).
+        """
+        route: List[List[ShardMessage]] = [[] for _ in self.shards]
+        check = self._finding_cls is not None
+        for message in pending:
+            if check:
+                self._check_causality(message, t_min)
+            route[message.dst_shard].append(message)
+        self.cross_messages += len(pending)
+        return route
 
     def _check_causality(self, message: ShardMessage, t_min: float) -> None:
         """S407: a routed message must respect lookahead and the window."""
@@ -600,7 +643,13 @@ class ShardedSimulator:
         }
 
     def close(self) -> None:
-        """Shut the executor down (terminates forked workers)."""
+        """Shut the executor down (terminates forked workers).
+
+        Final: a closed simulator refuses :meth:`run_phase` and
+        :meth:`collect`, since a fresh fork executor would resurrect the
+        parent's never-run shards.  Closing twice is harmless.
+        """
+        self._closed = True
         if self._executor is not None:
             self._executor.close()
             self._executor = None

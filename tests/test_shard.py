@@ -294,6 +294,137 @@ def test_context_manager_closes_executor():
     assert sharded._executor is None
 
 
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_closed_simulator_refuses_to_run_or_collect(executor):
+    """close() is final: a fresh fork executor would fork the parent's
+    shards, which never ran, and serve their stale state."""
+    sharded = ShardedSimulator(1, 1.0, executor=executor)
+    shard = sharded.shard(0)
+    log = []
+
+    def waiter():
+        yield shard.sim.timeout(5.0)
+        log.append(shard.sim.now)
+
+    shard.add_phase("go", waiter)
+    shard.set_collector(lambda: (shard.sim.now, list(log)))
+    sharded.run_phase("go")
+    assert sharded.collect() == {0: (6.0, [5.0])}
+    sharded.close()
+    with pytest.raises(SimulationError, match="closed"):
+        sharded.collect()
+    with pytest.raises(SimulationError, match="closed"):
+        sharded.run_phase("go")
+    sharded.close()
+
+
+# -- the phase-completion cursor -----------------------------------------------
+
+
+def _cursor_bed(executor):
+    """Two shards with a shared log collector; shard 0 hosts phase work."""
+    sharded = ShardedSimulator(2, 0.5, executor=executor)
+    logs = ([], [])
+    for shard, log in zip(sharded.shards, logs):
+        shard.set_collector(
+            lambda shard=shard, log=log: (shard.sim.now, list(log)))
+    return sharded, logs
+
+
+def _sleeper(shard, log, tag, naps):
+    def proc():
+        for _ in range(naps):
+            yield shard.sim.timeout(1.0)
+        log.append((tag, shard.sim.now))
+    return proc
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_phase_waits_for_first_spawned_process_finishing_last(executor):
+    """The cursor sits on the first-spawned process while later ones
+    finish; the phase ends only when it does, on aligned clocks, and a
+    shard with no factory for the phase idles through it."""
+    sharded, logs = _cursor_bed(executor)
+    s0, s1 = sharded.shards
+    s0.add_phase("one", _sleeper(s0, logs[0], "warm0", 1))
+    s1.add_phase("one", _sleeper(s1, logs[1], "warm1", 2))
+    # Registered up front: fork workers inherit phases at the first step.
+    s0.add_phase("two", _sleeper(s0, logs[0], "slow", 6))
+    s0.add_phase("two", _sleeper(s0, logs[0], "fast", 1))
+    s0.add_phase("two", _sleeper(s0, logs[0], "mid", 2))
+    sharded.run_phase("one")
+    rounds_one = sharded.rounds
+    sharded.run_phase("two")
+    collected = sharded.collect()
+    sharded.close()
+    now0, log0 = collected[0]
+    now1, log1 = collected[1]
+    assert log0 == [("warm0", 1.0), ("fast", 3.5), ("mid", 4.5),
+                    ("slow", 8.5)]
+    assert log1 == [("warm1", 2.0)]
+    assert now0 == now1 == 9.0
+    assert (rounds_one, sharded.rounds) == (4, 12)
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+def test_late_failure_behind_live_sibling_raises(executor):
+    """A phase process failing windows into the phase raises its own
+    error even though an earlier-spawned sibling (the cursor's
+    position) is still alive."""
+    sharded, logs = _cursor_bed(executor)
+    s0 = sharded.shard(0)
+
+    def failer():
+        for _ in range(3):
+            yield s0.sim.timeout(1.0)
+        raise ValueError("late failure")
+
+    s0.add_phase("go", _sleeper(s0, logs[0], "sibling", 10))
+    s0.add_phase("go", failer)
+    expected = SimulationError if executor == "fork" else ValueError
+    with pytest.raises(expected, match="late failure"):
+        sharded.run_phase("go")
+    sharded.close()
+
+
+# -- the window schedule (pinned: a faster run_phase must not change it) --------
+
+
+STORM_SCHEDULE = {1: ([1960], 0), 2: ([980, 980], 192)}
+FARM_SCHEDULE = {1: ([15905], 0), 2: ([10087, 5818], 1906)}
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("nshards", [1, 2])
+def test_storm_window_schedule_is_pinned(executor, nshards):
+    from repro.sim.perf import run_shard_storm
+
+    result = run_shard_storm(groups=4, clients_per_group=8, requests=10,
+                             nshards=nshards, executor=executor)
+    report = result["report"]
+    assert result["records"] == 1960
+    assert result["makespan"] == 0.03684423800000001
+    assert report["rounds"] == 67
+    assert ((report["records_by_shard"], report["cross_messages"])
+            == STORM_SCHEDULE[nshards])
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("nshards", [1, 2])
+def test_farm_window_schedule_is_pinned(executor, nshards):
+    from repro.sim.farm import run_farm
+
+    result = run_farm("nfs", nclients=64, nservers=4, connections=4,
+                      sharing=0.25, requests=20, nshards=nshards,
+                      executor=executor)
+    report = result["report"]
+    assert result["records"] == 15905
+    assert result["makespan"] == 0.2805175351999967
+    assert report["rounds"] == 520
+    assert ((report["records_by_shard"], report["cross_messages"])
+            == FARM_SCHEDULE[nshards])
+
+
 # -- the S407 causality sanitizer ----------------------------------------------
 
 
