@@ -97,7 +97,7 @@ _RULE_LIST = (
     Rule("P203", "dropped-sim-result",
          "yield (from) the call or assign its result; a bare call is a no-op"),
     Rule("O301", "unguarded-hook",
-         "guard tracer/telemetry/recorder hooks with "
+         "guard tracer/telemetry/recorder/sanitizer/fault hooks with "
          "`if <receiver> is not None:`"),
     Rule("S501", "cross-shard-direct-access",
          "route cross-shard effects through ShardedTransport/Shard.post(); "
@@ -179,6 +179,13 @@ HOOKS = {
     "tracer": frozenset({"begin_span", "instant", "message", "sample"}),
     "telem": frozenset({"count", "observe"}),
     "recorder": frozenset({"note_event", "note_message", "dump"}),
+    "san": frozenset({
+        "note_send", "note_loss", "note_fault_drop", "note_fault_duplicate",
+        "note_scheduled", "note_issued", "note_orphan_reply",
+        "note_request", "note_request_cancelled", "note_request_replayed",
+        "note_request_dropped_in_progress", "note_request_served",
+    }),
+    "fault": frozenset({"filter_message"}),
 }
 
 # S501: shard-internal state that only the owning shard may mutate.

@@ -4,13 +4,7 @@ Usage::
 
     python -m repro list
     python -m repro all [--jobs N] [--no-cache]
-    python -m repro table2 [--depth 0 3] [--jobs N]
-    python -m repro table4 [--mb 16] [--jobs N]
-    python -m repro table5 [--transactions 8000] [--files 1000]
-    python -m repro fig4 --op mkdir
-    python -m repro fig6 [--mb 4]
-    python -m repro fig7
-    python -m repro sec7
+    python -m repro <artifact> [flags] [--jobs N]     # table2 ... sec7, quick
     python -m repro quick [--san] [--telemetry] [--shards 1]
     python -m repro scale [--clients 256] [--shards 1 4] [--reference]
     python -m repro scale --farm [--nclients 64 256 1024] [--servers 1 4]
@@ -24,67 +18,53 @@ Usage::
     python -m repro explain <workload> --bench-a OLD.json --bench-b NEW.json
     python -m repro lint [paths ...] [--format text|json]
 
-Each artifact subcommand runs the corresponding experiment at a tractable
-scale and prints the same rows the paper reports.  Under the hood every
-artifact is a list of pure experiment *cells* (one stack x workload x
-parameter point) executed by the
-:class:`~repro.core.runner.ExperimentRunner`: pass ``--jobs N`` to fan
-the cells out over N worker processes — the merged output is
-byte-identical to a serial run.  ``repro all`` regenerates the whole
-paper in one go and additionally backs the cells with the on-disk result
-cache (``--no-cache`` disables it), so an unchanged cell costs a file
-read on re-run.
+Every artifact is one row of :data:`SECTIONS`: its subcommand name(s),
+a function returning pure experiment *cells* (one stack x workload x
+parameter point), a renderer of the ``(cell, result)`` pairs, and its
+flags with their defaults.  The artifact subparsers, ``repro all``, the
+artifacts line of ``repro list`` and :func:`all_cells` are built from
+that table; adding an artifact means adding one row.  The cells run on
+the :class:`~repro.core.runner.ExperimentRunner`: ``--jobs N`` fans them
+out over N worker processes and the merged output is byte-identical to
+a serial run.  ``repro all`` prints every section at its defaults and
+backs the cells with the on-disk result cache (``--no-cache`` disables
+it).  Counts are checked at parse time: a zero or negative size is a
+usage error (exit 2).
 
-``trace`` records and exports a run; ``bench`` runs the regression
-suites (see the README's "Profiling & benchmarking" section); ``repro
-list`` enumerates every subcommand.  For the asserted paper-vs-measured
-comparison, run the pytest benchmarks instead (see README).
+The tools are separate commands.  ``trace`` records and exports a run;
+``bench`` runs the regression suites; ``lint`` runs simlint
+(repro.check.simlint).  ``--san`` (quick, trace, bench, faults) attaches
+the runtime sanitizers (repro.check.simsan) and ``--telemetry`` (quick,
+bench, faults) the streaming collector (repro.obs.telemetry); both
+report on stderr and leave stdout and ``BENCH_*.json`` byte-identical.
+``dash`` renders the telemetry timelines as ASCII (or ``--html``).
 
-``lint`` runs the simulator-discipline linter (repro.check.simlint)
-over source trees; ``--san`` on the workload-running subcommands
-(quick, trace, bench, faults) attaches the runtime sanitizers
-(repro.check.simsan) — checks observe without perturbing, so sanitized
-outputs are bit-identical to unsanitized ones.
-
-``dash`` renders per-tier utilization/queue-depth timelines from the
-streaming telemetry layer (repro.obs.telemetry) as an ASCII dashboard
-(plus ``--html`` self-contained export); ``--telemetry`` on quick,
-bench, and faults carries the same collector alongside the normal run —
-rollups and watcher findings are summarized on stderr while stdout and
-``BENCH_*.json`` stay byte-identical.  ``repro all`` additionally
-prints run heartbeats (cells done, cache hits, wall rate) to stderr.
-
-``scale`` exercises the sharded event calendar (repro.sim.shard): it
-sweeps shard counts over a fixed multi-client storm, certifies every
-timed run against a pure sequential cell (stdout prints only the
-partition-invariant metrics, so ``--shards 1`` output is byte-identical
-to ``--reference``), and writes wall-clock speedup plus the
-machine-independent synchronization stats to ``BENCH_storm.json``.
-``scale --farm`` sweeps the protocol-aware server farm
-(repro.sim.farm) instead — ``nclients`` (to 1k+) x ``servers``
-(pNFS-style striped exports) x ``connections`` (MC/S channels) x
-``sharing`` — and writes a schema-2 document whose every field is
-simulated outcome, byte-comparable across hosts (``scale --compare``
-diffs two such documents exactly).
+``scale`` sweeps shard counts over a multi-client storm on the sharded
+calendar (repro.sim.shard).  stdout prints only partition-invariant
+metrics, so ``--shards 1`` output is byte-identical to ``--reference``;
+wall-clock speedups go to ``BENCH_storm.json``.  ``scale --farm`` sweeps
+the server farm (repro.sim.farm) over ``nclients`` x ``servers`` x
+``connections`` x ``sharing`` and writes a schema-2 document of pure
+simulated outcome (``scale --compare`` diffs two exactly).
 ``--shards 1`` on quick/table2/table3/table4 rebuilds each stack on a
-one-shard calendar placement — output must stay byte-identical to the
-flat kernel.
+one-shard placement; the output must stay byte-identical.
 
-``explain`` is the differential-diagnosis front end
-(repro.obs.explain): it runs one workload on two stacks — or loads the
-same case from two ``BENCH_*.json`` files — and reports where the
-completion-time delta comes from (per-layer attribution summing exactly
-to the total, per-op message drift, queueing deltas, ranked blame) as
-text, JSON, or self-contained HTML.  ``bench --compare`` appends the
-same report for every regressed case.
+``explain`` (repro.obs.explain) runs one workload on two stacks, or
+loads one case from two ``BENCH_*.json`` files, and attributes the
+completion-time delta per layer, per op and per queue, as text, JSON or
+HTML.  ``bench --compare`` appends the same report per regressed case.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+import textwrap
+from dataclasses import dataclass, field
+from itertools import groupby
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .core.comparison import STACK_KINDS, make_stack
 from .core.runner import Cell, ExperimentRunner
@@ -120,6 +100,26 @@ def _runner(args) -> ExperimentRunner:
                             use_cache=False)
 
 
+def _count_type(minimum: int) -> Callable[[str], int]:
+    """An argparse type for an integer of at least ``minimum``: a bad
+    count is a usage error (exit 2), not a traceback from deep in a run."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "invalid int value: %r" % text) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                "must be >= %d (got %d)" % (minimum, value))
+        return value
+    return parse
+
+
+_positive_int = _count_type(1)
+_nonneg_int = _count_type(0)   # --depth, artifact --shards (0 = flat), --limit
+
+
 def iter_subcommands() -> List[str]:
     """Every registered CLI subcommand, sorted (the discoverability
     contract checked by ``tests/test_public_api.py``)."""
@@ -132,8 +132,9 @@ def iter_subcommands() -> List[str]:
 
 def cmd_list(_args) -> int:
     print("stacks:     %s" % ", ".join(STACK_KINDS))
-    print("artifacts:  table2 table3 table4 table5 table6 table7 table8")
-    print("            table9 table10 fig3 fig4 fig5 fig6 fig7 sec7 quick")
+    print(textwrap.fill(
+        " ".join(name for section in SECTIONS for name in section.names),
+        width=72, initial_indent="artifacts:  ", subsequent_indent=" " * 12))
     print("tools:      trace (record/export a run)  "
           "bench (regression suites)")
     print("            faults (degraded-mode scenarios)  "
@@ -152,9 +153,12 @@ def cmd_list(_args) -> int:
 
 # -- artifact cells + renderers -----------------------------------------------
 # Every artifact is (a) a list of pure runner cells and (b) a renderer
-# that formats the merged results.  The cells functions are the single
-# source of truth for ids, so renderers look results up by regenerating
-# the same cells.
+# that formats the merged results.  A renderer receives the
+# ``(cell, result)`` pairs of its own cells list, in order, and reads any
+# parameter it prints from the cells: the cells functions are the single
+# source of truth for ids and sizes.
+
+Pairs = List[Tuple[Cell, Any]]
 
 SYSCALL_KINDS = ("nfsv2", "nfsv3", "nfsv4", "iscsi")
 TABLE4_MODES = ("seq-read", "rand-read", "seq-write", "rand-write")
@@ -163,6 +167,17 @@ FIG4_DEPTHS = tuple(range(0, 17, 4))
 FIG5_SIZES = tuple(2 ** e for e in range(7, 17))
 FIG6_RTTS = (0.010, 0.030, 0.050, 0.070, 0.090)
 TRACE_LIMIT = 150_000
+
+
+def _chunks(pairs: Pairs, size: int) -> List[Pairs]:
+    """Consecutive runs of ``size`` pairs: one row or block of a table."""
+    return [pairs[start:start + size] for start in range(0, len(pairs), size)]
+
+
+def _by_mode(pairs: Pairs):
+    """The pairs grouped by consecutive ``mode`` parameter."""
+    for mode, group in groupby(pairs, key=lambda pair: pair[0].params["mode"]):
+        yield mode, list(group)
 
 
 def cells_quick(san: bool = False, telemetry: bool = False,
@@ -182,21 +197,19 @@ def cells_quick(san: bool = False, telemetry: bool = False,
     return cells
 
 
-def render_quick(results, san: bool = False, telemetry: bool = False,
-                 shards: int = 0) -> None:
-    for cell in cells_quick(san, telemetry, shards):
-        record = results[cell.id]
+def render_quick(pairs: Pairs) -> None:
+    for cell, record in pairs:
         print("%-14s msgs=%-5d bytes=%-8d t=%.2fms" % (
             cell.params["kind"], record["messages"], record["bytes"],
             record["now_s"] * 1000))
 
 
-def cells_syscalls(depths: Tuple[int, ...], warm: bool,
+def cells_syscalls(depth: List[int], warm: bool,
                    shards: int = 0) -> List[Cell]:
     cells = []
-    for depth in depths:
+    for each in depth:
         for kind in SYSCALL_KINDS:
-            params: Dict[str, Any] = {"kind": kind, "depth": depth,
+            params: Dict[str, Any] = {"kind": kind, "depth": each,
                                       "warm": warm}
             if shards:
                 params["shards"] = shards
@@ -204,27 +217,19 @@ def cells_syscalls(depths: Tuple[int, ...], warm: bool,
     return cells
 
 
-def render_syscalls(results, depths: Tuple[int, ...], warm: bool,
-                    shards: int = 0) -> None:
+def render_syscalls(pairs: Pairs) -> None:
     from .workloads import SYSCALL_OPS
 
-    for depth in depths:
-        print("\n%s cache, depth %d" % ("warm" if warm else "cold", depth))
-        rows = []
-        for op in SYSCALL_OPS:
-            row = [op]
-            for kind in SYSCALL_KINDS:
-                params: Dict[str, Any] = {"kind": kind, "depth": depth,
-                                          "warm": warm}
-                if shards:
-                    params["shards"] = shards
-                cell = _cell("syscall_table", **params)
-                row.append(results[cell.id][op])
-            rows.append(row)
+    for block in _chunks(pairs, len(SYSCALL_KINDS)):
+        params = block[0][0].params
+        print("\n%s cache, depth %d" % ("warm" if params["warm"] else "cold",
+                                        params["depth"]))
+        rows = [[op] + [record[op] for _cell, record in block]
+                for op in SYSCALL_OPS]
         _print_table(["syscall", "v2", "v3", "v4", "iscsi"], rows)
 
 
-def cells_table4(mb: int = 16, shards: int = 0) -> List[Cell]:
+def cells_table4(mb: int, shards: int = 0) -> List[Cell]:
     # One cell per stack covering all four modes: the workload's shuffle
     # RNG is shared across the modes, so they must run in one process.
     cells = []
@@ -236,99 +241,83 @@ def cells_table4(mb: int = 16, shards: int = 0) -> List[Cell]:
     return cells
 
 
-def render_table4(results, mb: int = 16, shards: int = 0) -> None:
-    rows = []
-    for cell in cells_table4(mb, shards):
-        by_mode = results[cell.id]
-        for mode in TABLE4_MODES:
-            record = by_mode[mode]
-            rows.append([cell.params["kind"], mode,
-                         "%.2fs" % record["completion_time"],
-                         record["messages"],
-                         "%.1fMB" % (record["bytes"] / 1e6)])
-    print("%d MB streaming I/O" % mb)
+def render_table4(pairs: Pairs) -> None:
+    rows = [[cell.params["kind"], mode,
+             "%.2fs" % by_mode[mode]["completion_time"],
+             by_mode[mode]["messages"],
+             "%.1fMB" % (by_mode[mode]["bytes"] / 1e6)]
+            for cell, by_mode in pairs for mode in TABLE4_MODES]
+    print("%d MB streaming I/O" % pairs[0][0].params["mb"])
     _print_table(["stack", "mode", "time", "messages", "bytes"], rows)
 
 
-def cells_table5(transactions: int = 5000, files: int = 1000) -> List[Cell]:
+def cells_table5(transactions: int, files: int) -> List[Cell]:
     return [_cell("postmark", kind=kind, files=files,
                   transactions=transactions)
             for kind in ("nfsv3", "nfs-enhanced", "iscsi")]
 
 
-def render_table5(results, transactions: int = 5000,
-                  files: int = 1000) -> None:
-    rows = []
-    for cell in cells_table5(transactions, files):
-        record = results[cell.id]
-        rows.append([cell.params["kind"],
-                     "%.2fs" % record["completion_time"],
-                     record["messages"],
-                     "%.0f%%" % (record["server_cpu"] * 100),
-                     "%.0f%%" % (record["client_cpu"] * 100)])
-    print("PostMark: %d transactions, %d files" % (transactions, files))
+def render_table5(pairs: Pairs) -> None:
+    rows = [[cell.params["kind"], "%.2fs" % record["completion_time"],
+             record["messages"], "%.0f%%" % (record["server_cpu"] * 100),
+             "%.0f%%" % (record["client_cpu"] * 100)]
+            for cell, record in pairs]
+    params = pairs[0][0].params
+    print("PostMark: %d transactions, %d files"
+          % (params["transactions"], params["files"]))
     _print_table(["stack", "time", "messages", "srv CPU", "cli CPU"], rows)
 
 
-def cells_table6(transactions: int = 1000) -> List[Cell]:
+def cells_table6(transactions: int) -> List[Cell]:
     return [_cell("tpcc", kind=kind, transactions=transactions)
             for kind in ("nfsv3", "iscsi")]
 
 
-def render_table6(results, transactions: int = 1000) -> None:
-    rows = []
-    base = None
-    for cell in cells_table6(transactions):
-        record = results[cell.id]
-        base = base or record["throughput"]
-        rows.append([cell.params["kind"],
-                     "%.2f" % (record["throughput"] / base),
-                     record["messages"],
-                     "%.0f%%" % (record["server_cpu"] * 100)])
-    print("TPC-C-like OLTP: %d transactions" % transactions)
-    _print_table(["stack", "tpmC (norm)", "messages", "srv CPU"], rows)
+def _normalized_rows(pairs: Pairs) -> List[List[Any]]:
+    """Throughput relative to the first stack, messages, server CPU."""
+    base = pairs[0][1]["throughput"]
+    return [[cell.params["kind"],
+             "%.2f" % (record["throughput"] / base),
+             record["messages"],
+             "%.0f%%" % (record["server_cpu"] * 100)]
+            for cell, record in pairs]
 
 
-def cells_table7(queries: int = 4, mb: int = 128) -> List[Cell]:
+def render_table6(pairs: Pairs) -> None:
+    print("TPC-C-like OLTP: %d transactions"
+          % pairs[0][0].params["transactions"])
+    _print_table(["stack", "tpmC (norm)", "messages", "srv CPU"],
+                 _normalized_rows(pairs))
+
+
+def cells_table7(queries: int, mb: int) -> List[Cell]:
     return [_cell("tpch", kind=kind, queries=queries, mb=mb)
             for kind in ("nfsv3", "iscsi")]
 
 
-def render_table7(results, queries: int = 4, mb: int = 128) -> None:
-    rows = []
-    base = None
-    for cell in cells_table7(queries, mb):
-        record = results[cell.id]
-        base = base or record["throughput"]
-        rows.append([cell.params["kind"],
-                     "%.2f" % (record["throughput"] / base),
-                     record["messages"],
-                     "%.0f%%" % (record["server_cpu"] * 100)])
-    print("TPC-H-like DSS: %d queries over %d MB" % (queries, mb))
-    _print_table(["stack", "QphH (norm)", "messages", "srv CPU"], rows)
+def render_table7(pairs: Pairs) -> None:
+    params = pairs[0][0].params
+    print("TPC-H-like DSS: %d queries over %d MB"
+          % (params["queries"], params["mb"]))
+    _print_table(["stack", "QphH (norm)", "messages", "srv CPU"],
+                 _normalized_rows(pairs))
 
 
-def cells_table8(dirs: int = 12) -> List[Cell]:
+def cells_table8(dirs: int) -> List[Cell]:
     return [_cell("kernel_tree", kind=kind, dirs=dirs)
             for kind in ("nfsv3", "iscsi")]
 
 
-def render_table8(results, dirs: int = 12) -> None:
-    rows = []
-    total_files = 0
-    for cell in cells_table8(dirs):
-        record = results[cell.id]
-        total_files = record["total_files"]
-        rows.append([cell.params["kind"],
-                     "%.2fs" % record["tar_seconds"],
-                     "%.2fs" % record["ls_seconds"],
-                     "%.2fs" % record["make_seconds"],
-                     "%.2fs" % record["rm_seconds"]])
-    print("kernel-tree ops (%d files)" % total_files)
+def render_table8(pairs: Pairs) -> None:
+    rows = [[cell.params["kind"]]
+            + ["%.2fs" % record[key] for key in (
+                "tar_seconds", "ls_seconds", "make_seconds", "rm_seconds")]
+            for cell, record in pairs]
+    print("kernel-tree ops (%d files)" % pairs[-1][1]["total_files"])
     _print_table(["stack", "tar", "ls -lR", "make", "rm -rf"], rows)
 
 
-def cells_tables910(transactions: int = 4000) -> List[Cell]:
+def cells_tables910(transactions: int) -> List[Cell]:
     cells = []
     for kind in ("nfsv3", "iscsi"):
         cells.append(_cell("postmark", kind=kind, files=500,
@@ -339,36 +328,27 @@ def cells_tables910(transactions: int = 4000) -> List[Cell]:
     return cells
 
 
-def render_tables910(results, transactions: int = 4000) -> None:
-    rows = []
-    for kind in ("nfsv3", "iscsi"):
-        pm = results[_cell("postmark", kind=kind, files=500,
-                           transactions=transactions).id]
-        cc = results[_cell("tpcc", kind=kind,
-                           transactions=max(200, transactions // 8)).id]
-        ch = results[_cell("tpch", kind=kind, queries=3, mb=96).id]
-        rows.append([kind,
-                     "%.0f%%/%.0f%%" % (pm["server_cpu"] * 100,
-                                        pm["client_cpu"] * 100),
-                     "%.0f%%/%.0f%%" % (cc["server_cpu"] * 100,
-                                        cc["client_cpu"] * 100),
-                     "%.0f%%/%.0f%%" % (ch["server_cpu"] * 100,
-                                        ch["client_cpu"] * 100)])
+def render_tables910(pairs: Pairs) -> None:
+    # One row per stack from its (PostMark, TPC-C, TPC-H) cells.
+    rows = [[block[0][0].params["kind"]]
+            + ["%.0f%%/%.0f%%" % (record["server_cpu"] * 100,
+                                  record["client_cpu"] * 100)
+               for _cell, record in block]
+            for block in _chunks(pairs, 3)]
     print("CPU utilization (server/client)")
     _print_table(["stack", "PostMark", "TPC-C", "TPC-H"], rows)
 
 
-def cells_fig3(op: str = "mkdir") -> List[Cell]:
+def cells_fig3(op: str) -> List[Cell]:
     return [_cell("batching", op=op, batch=batch) for batch in FIG3_BATCHES]
 
 
-def render_fig3(results, op: str = "mkdir") -> None:
-    rows = [[cell.params["batch"], "%.2f" % results[cell.id]]
-            for cell in cells_fig3(op)]
+def render_fig3(pairs: Pairs) -> None:
+    rows = [[cell.params["batch"], "%.2f" % value] for cell, value in pairs]
     _print_table(["batch", "msgs/op"], rows)
 
 
-def cells_fig4(op: str = "mkdir") -> List[Cell]:
+def cells_fig4(op: str) -> List[Cell]:
     cells = [_cell("depth_point", op=op, kind=kind, depth=depth, warm=False)
              for kind in ("nfsv3", "nfsv4", "iscsi")
              for depth in FIG4_DEPTHS]
@@ -378,18 +358,14 @@ def cells_fig4(op: str = "mkdir") -> List[Cell]:
     return cells
 
 
-def render_fig4(results, op: str = "mkdir") -> None:
+def render_fig4(pairs: Pairs) -> None:
     rows = []
-    for kind in ("nfsv3", "nfsv4", "iscsi"):
-        rows.append([kind + " cold"] + [
-            results[_cell("depth_point", op=op, kind=kind, depth=depth,
-                          warm=False).id]
-            for depth in FIG4_DEPTHS])
-    rows.append(["iscsi warm"] + [
-        results[_cell("depth_point", op=op, kind="iscsi", depth=depth,
-                      warm=True).id]
-        for depth in FIG4_DEPTHS])
-    print("messages vs depth [%s]" % op)
+    for block in _chunks(pairs, len(FIG4_DEPTHS)):
+        params = block[0][0].params
+        rows.append(["%s %s" % (params["kind"],
+                                "warm" if params["warm"] else "cold")]
+                    + [value for _cell, value in block])
+    print("messages vs depth [%s]" % pairs[0][0].params["op"])
     _print_table(["series"] + ["d=%d" % d for d in FIG4_DEPTHS], rows)
 
 
@@ -400,36 +376,29 @@ def cells_fig5() -> List[Cell]:
             for size in FIG5_SIZES]
 
 
-def render_fig5(results) -> None:
-    for mode in ("cold-read", "warm-read", "cold-write"):
+def render_fig5(pairs: Pairs) -> None:
+    for mode, group in _by_mode(pairs):
         print("\n%s" % mode)
-        rows = []
-        for kind in SYSCALL_KINDS:
-            rows.append([kind] + [
-                results[_cell("io_size_point", kind=kind, mode=mode,
-                              size=size).id]
-                for size in FIG5_SIZES])
+        rows = [[row[0][0].params["kind"]] + [value for _cell, value in row]
+                for row in _chunks(group, len(FIG5_SIZES))]
         _print_table(["stack"] + [str(s) for s in FIG5_SIZES], rows)
 
 
-def cells_fig6(mb: int = 4) -> List[Cell]:
+def cells_fig6(mb: int) -> List[Cell]:
     return [_cell("seqrand", kind=kind, mode=mode, mb=mb, rtt=rtt)
             for mode in ("seq-read", "seq-write")
             for kind in ("nfsv3", "iscsi")
             for rtt in FIG6_RTTS]
 
 
-def render_fig6(results, mb: int = 4) -> None:
-    for mode, label in (("seq-read", "read"), ("seq-write", "write")):
-        print("\nsequential %ss of a %d MB file" % (label, mb))
-        rows = []
-        for kind in ("nfsv3", "iscsi"):
-            row = [kind]
-            for rtt in FIG6_RTTS:
-                record = results[_cell("seqrand", kind=kind, mode=mode,
-                                       mb=mb, rtt=rtt).id]
-                row.append("%.1fs" % record["completion_time"])
-            rows.append(row)
+def render_fig6(pairs: Pairs) -> None:
+    for mode, group in _by_mode(pairs):
+        print("\nsequential %ss of a %d MB file"
+              % (mode[len("seq-"):], group[0][0].params["mb"]))
+        rows = [[row[0][0].params["kind"]]
+                + ["%.1fs" % record["completion_time"]
+                   for _cell, record in row]
+                for row in _chunks(group, len(FIG6_RTTS))]
         _print_table(["stack"] + ["%dms" % int(r * 1000) for r in FIG6_RTTS],
                      rows)
 
@@ -439,20 +408,17 @@ def cells_fig7() -> List[Cell]:
             for profile in ("eecs", "campus")]
 
 
-def render_fig7(results) -> None:
+def render_fig7(pairs: Pairs) -> None:
     from .traces import CAMPUS_PROFILE, EECS_PROFILE
 
     names = {"eecs": EECS_PROFILE.name, "campus": CAMPUS_PROFILE.name}
-    for cell in cells_fig7():
+    for cell, points in pairs:
         print("\n%s trace" % names[cell.params["profile"]])
-        rows = []
-        for point in results[cell.id]:
-            rows.append(["%.0f" % point["interval"],
-                         "%.3f" % point["read_by_one"],
-                         "%.3f" % point["read_by_multiple"],
-                         "%.3f" % point["written_by_one"],
-                         "%.3f" % point["written_by_multiple"],
-                         "%.3f" % point["read_write_shared"]])
+        rows = [["%.0f" % point["interval"]]
+                + ["%.3f" % point[key] for key in (
+                    "read_by_one", "read_by_multiple", "written_by_one",
+                    "written_by_multiple", "read_write_shared")]
+                for point in points]
         _print_table(["T", "r-by-1", "r-by-N", "w-by-1", "w-by-N", "rw"],
                      rows)
 
@@ -461,21 +427,108 @@ def cells_sec7() -> List[Cell]:
     return [_cell("metadata_cache", limit=TRACE_LIMIT)]
 
 
-def render_sec7(results) -> None:
-    sweep = results[cells_sec7()[0].id]
-    rows = []
-    for size in sorted(sweep, key=int):
-        record = sweep[size]
-        rows.append([int(size), record["baseline_messages"],
-                     record["consistent_messages"],
-                     "%.1f%%" % (record["reduction"] * 100),
-                     "%.1e" % record["callback_ratio"]])
+def render_sec7(pairs: Pairs) -> None:
+    sweep = pairs[0][1]
+    rows = [[int(size), sweep[size]["baseline_messages"],
+             sweep[size]["consistent_messages"],
+             "%.1f%%" % (sweep[size]["reduction"] * 100),
+             "%.1e" % sweep[size]["callback_ratio"]]
+            for size in sorted(sweep, key=int)]
     print("strongly-consistent meta-data cache (EECS-like trace)")
     _print_table(["cache", "baseline", "consistent", "reduction", "cb ratio"],
                  rows)
 
 
-# -- artifact commands ----------------------------------------------------------------
+# -- the section registry -------------------------------------------------------------
+# One row per paper artifact.  The artifact subparsers, the generic
+# artifact command, `repro all` (and all_cells()) and the artifacts line
+# of `repro list` are all built from SECTIONS, so adding an artifact
+# means adding one row.
+
+
+@dataclass(frozen=True)
+class Arg:
+    """One artifact flag; its default is also what ``repro all`` runs."""
+
+    flag: str
+    type: Callable[[str], Any]
+    default: Any
+    nargs: Optional[str] = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
+
+
+@dataclass(frozen=True)
+class Section:
+    """One artifact: its subcommand name(s), cells, renderer and flags.
+
+    ``fixed`` keywords go to ``cells`` as they are (table2/table3 share
+    one cells/render pair and differ only in ``warm``).  ``parents``
+    names the shared flags beyond ``--jobs`` that the subcommand takes
+    and forwards to ``cells``: ``san``, ``telemetry``, ``shards``.
+    """
+
+    names: Tuple[str, ...]
+    cells: Callable[..., List[Cell]]
+    render: Callable[[Pairs], None]
+    args: Tuple[Arg, ...] = ()
+    fixed: Dict[str, Any] = field(default_factory=dict)
+    parents: Tuple[str, ...] = ()
+
+    @property
+    def heading(self) -> str:
+        """The ``== heading ==`` line of ``repro all``."""
+        return "/".join(self.names)
+
+    def cells_for(self, args=None) -> List[Cell]:
+        """The cells for parsed ``args``, or at every default (``repro all``)."""
+        kwargs = dict(self.fixed)
+        for arg in self.args:
+            kwargs[arg.dest] = (arg.default if args is None
+                                else getattr(args, arg.dest))
+        if args is not None:
+            kwargs.update((name, getattr(args, name)) for name in self.parents)
+        return self.cells(**kwargs)
+
+
+# Section order mirrors the paper; it is the order of `repro all`.
+SECTIONS: Tuple[Section, ...] = (
+    Section(("quick",), cells_quick, render_quick,
+            parents=("san", "telemetry", "shards")),
+    Section(("table2",), cells_syscalls, render_syscalls,
+            (Arg("--depth", _nonneg_int, [0, 3], "+"),),
+            fixed={"warm": False}, parents=("shards",)),
+    Section(("table3",), cells_syscalls, render_syscalls,
+            (Arg("--depth", _nonneg_int, [0], "+"),),
+            fixed={"warm": True}, parents=("shards",)),
+    Section(("table4",), cells_table4, render_table4,
+            (Arg("--mb", _positive_int, 16),), parents=("shards",)),
+    Section(("table5",), cells_table5, render_table5,
+            (Arg("--transactions", _positive_int, 5000),
+             Arg("--files", _positive_int, 1000))),
+    Section(("table6",), cells_table6, render_table6,
+            (Arg("--transactions", _positive_int, 1000),)),
+    Section(("table7",), cells_table7, render_table7,
+            (Arg("--queries", _positive_int, 4),
+             Arg("--mb", _positive_int, 128))),
+    Section(("table8",), cells_table8, render_table8,
+            (Arg("--dirs", _positive_int, 12),)),
+    Section(("table9", "table10"), cells_tables910, render_tables910,
+            (Arg("--transactions", _positive_int, 4000),)),
+    Section(("fig3",), cells_fig3, render_fig3, (Arg("--op", str, "mkdir"),)),
+    Section(("fig4",), cells_fig4, render_fig4, (Arg("--op", str, "mkdir"),)),
+    Section(("fig5",), cells_fig5, render_fig5),
+    Section(("fig6",), cells_fig6, render_fig6,
+            (Arg("--mb", _positive_int, 4),)),
+    Section(("fig7",), cells_fig7, render_fig7),
+    Section(("sec7",), cells_sec7, render_sec7),
+)
+
+
+def _pairs(cells: List[Cell], results: Dict[str, Any]) -> Pairs:
+    return [(cell, results[cell.id]) for cell in cells]
 
 
 def _telemetry_summary(runner: ExperimentRunner) -> None:
@@ -496,94 +549,45 @@ def _telemetry_summary(runner: ExperimentRunner) -> None:
               "utilization, progress stall)", file=sys.stderr)
 
 
-def cmd_quick(args) -> int:
-    san = getattr(args, "san", False)
-    telemetry = getattr(args, "telemetry", False)
-    shards = getattr(args, "shards", 0)
+def cmd_section(section: Section, args) -> int:
+    """Run one artifact subcommand: its cells on the runner, then render."""
     runner = _runner(args)
-    render_quick(runner.run(cells_quick(san, telemetry, shards)),
-                 san, telemetry, shards)
-    if san:
+    cells = section.cells_for(args)
+    section.render(_pairs(cells, runner.run(cells)))
+    if getattr(args, "san", False):
         # stderr, so the table on stdout stays bit-identical to a
         # non-sanitized run (the sanitizer contract).
         print("sanitizers: clean (deadlock, leaks, event order, "
               "message/reply/task conservation)", file=sys.stderr)
-    if telemetry:
+    if getattr(args, "telemetry", False):
         _telemetry_summary(runner)
     return 0
 
 
-def cmd_table2(args) -> int:
-    depths = tuple(args.depth)
-    shards = getattr(args, "shards", 0)
-    results = _runner(args).run(cells_syscalls(depths, args.warm, shards))
-    render_syscalls(results, depths, args.warm, shards)
-    return 0
+def all_cells() -> List[Cell]:
+    """Every cell of every section, deduplicated, in section order."""
+    cells: List[Cell] = []
+    seen = set()
+    for section in SECTIONS:
+        for cell in section.cells_for():
+            if cell.id not in seen:
+                seen.add(cell.id)
+                cells.append(cell)
+    return cells
 
 
-def cmd_table4(args) -> int:
-    shards = getattr(args, "shards", 0)
-    render_table4(_runner(args).run(cells_table4(args.mb, shards)),
-                  args.mb, shards)
-    return 0
-
-
-def cmd_table5(args) -> int:
-    results = _runner(args).run(cells_table5(args.transactions, args.files))
-    render_table5(results, args.transactions, args.files)
-    return 0
-
-
-def cmd_table6(args) -> int:
-    results = _runner(args).run(cells_table6(args.transactions))
-    render_table6(results, args.transactions)
-    return 0
-
-
-def cmd_table7(args) -> int:
-    results = _runner(args).run(cells_table7(args.queries, args.mb))
-    render_table7(results, args.queries, args.mb)
-    return 0
-
-
-def cmd_table8(args) -> int:
-    render_table8(_runner(args).run(cells_table8(args.dirs)), args.dirs)
-    return 0
-
-
-def cmd_tables910(args) -> int:
-    results = _runner(args).run(cells_tables910(args.transactions))
-    render_tables910(results, args.transactions)
-    return 0
-
-
-def cmd_fig3(args) -> int:
-    render_fig3(_runner(args).run(cells_fig3(args.op)), args.op)
-    return 0
-
-
-def cmd_fig4(args) -> int:
-    render_fig4(_runner(args).run(cells_fig4(args.op)), args.op)
-    return 0
-
-
-def cmd_fig5(args) -> int:
-    render_fig5(_runner(args).run(cells_fig5()))
-    return 0
-
-
-def cmd_fig6(args) -> int:
-    render_fig6(_runner(args).run(cells_fig6(args.mb)), args.mb)
-    return 0
-
-
-def cmd_fig7(args) -> int:
-    render_fig7(_runner(args).run(cells_fig7()))
-    return 0
-
-
-def cmd_sec7(args) -> int:
-    render_sec7(_runner(args).run(cells_sec7()))
+def cmd_all(args) -> int:
+    # Heartbeats keep long --jobs runs from looking hung; they go to
+    # stderr, so the artifact output on stdout is unchanged.
+    runner = ExperimentRunner(jobs=args.jobs, use_cache=not args.no_cache,
+                              heartbeat=True)
+    results = runner.run(all_cells())
+    for section in SECTIONS:
+        print("\n== %s ==" % section.heading)
+        section.render(_pairs(section.cells_for(), results))
+    print("\n%d cells (%d cached, %d computed), jobs=%s"
+          % (runner.cache_hits + runner.cache_misses, runner.cache_hits,
+             runner.cache_misses, args.jobs or 1))
     return 0
 
 
@@ -611,6 +615,7 @@ def cmd_scale(args) -> int:
     import os
     import time
 
+    from .obs.bench import write_bench
     from .sim.perf import run_shard_storm
     from .sim.shard import default_parallel_executor
 
@@ -660,8 +665,7 @@ def cmd_scale(args) -> int:
     executor = args.executor or default_parallel_executor()
     points = []
     for count in shard_counts:
-        best = None
-        report = None
+        runs = []
         for _ in range(args.repeat):
             start = time.perf_counter()  # simlint: disable=D101 -- measures host runtime of the harness, not sim time
             result = run_shard_storm(
@@ -676,9 +680,8 @@ def cmd_scale(args) -> int:
                           % (count, key, result[key], record[key]),
                           file=sys.stderr)
                     return 1
-            if best is None or wall < best:
-                best = wall
-                report = result["report"]
+            runs.append((wall, result["report"]))
+        best, report = min(runs, key=lambda run: run[0])
         points.append({
             "shards": count,
             "wall_s": best,
@@ -721,9 +724,7 @@ def cmd_scale(args) -> int:
         "note": "wall_s/speedup_vs_1 depend on host cpus; ideal_speedup "
                 "and cross_fraction are machine-independent",
     }
-    with open(args.out, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_bench(document, args.out)
     print("scale: wrote %s (host cpus=%s)" % (args.out, os.cpu_count()),
           file=sys.stderr)
     return 0
@@ -738,23 +739,11 @@ def _cmd_scale_farm(args) -> int:
     without touching the outcome.  stdout rows and the written document
     carry only machine-independent simulated figures.
     """
-    from .obs.bench import SCALE_SCHEMA_VERSION
+    from .obs.bench import SCALE_SCHEMA_VERSION, write_bench
 
-    for flag, values in (("--nclients", args.nclients),
-                         ("--servers", args.servers),
-                         ("--connections", args.connections)):
-        for value in values:
-            if value < 1:
-                print("scale: %s values must be >= 1 (got %d)"
-                      % (flag, value), file=sys.stderr)
-                return 2
     if not 0.0 <= args.sharing <= 1.0:
         print("scale: --sharing must be in [0, 1] (got %r)"
               % (args.sharing,), file=sys.stderr)
-        return 2
-    if any(count < 1 for count in args.shards):
-        print("scale: --shards values must be >= 1 (the flat reference "
-              "is --reference)", file=sys.stderr)
         return 2
     nshards = 0 if args.reference else args.shards[0]
     runner = ExperimentRunner(jobs=args.jobs, use_cache=args.cache)
@@ -805,9 +794,7 @@ def _cmd_scale_farm(args) -> int:
                 "documents diff exactly across hosts via "
                 "`repro scale --compare`",
     }
-    with open(args.out, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_bench(document, args.out)
     print("scale: wrote %s (%d farm points)" % (args.out, len(points)),
           file=sys.stderr)
     return 0
@@ -862,57 +849,6 @@ def _farm_series(points) -> dict:
             "message_exponent": exponent,
         }
     return series
-
-
-# -- all: the whole paper in one run -------------------------------------------------
-
-# Section order mirrors the paper; table9/table10 share one cell set.
-ALL_SECTIONS: Tuple[Tuple[str, Any, Any], ...] = (
-    ("quick", cells_quick, render_quick),
-    ("table2", lambda: cells_syscalls((0, 3), False),
-     lambda results: render_syscalls(results, (0, 3), False)),
-    ("table3", lambda: cells_syscalls((0,), True),
-     lambda results: render_syscalls(results, (0,), True)),
-    ("table4", cells_table4, render_table4),
-    ("table5", cells_table5, render_table5),
-    ("table6", cells_table6, render_table6),
-    ("table7", cells_table7, render_table7),
-    ("table8", cells_table8, render_table8),
-    ("table9/table10", cells_tables910, render_tables910),
-    ("fig3", cells_fig3, render_fig3),
-    ("fig4", cells_fig4, render_fig4),
-    ("fig5", cells_fig5, render_fig5),
-    ("fig6", cells_fig6, render_fig6),
-    ("fig7", cells_fig7, render_fig7),
-    ("sec7", cells_sec7, render_sec7),
-)
-
-
-def all_cells() -> List[Cell]:
-    """Every cell of every section, deduplicated, in section order."""
-    cells: List[Cell] = []
-    seen = set()
-    for _name, cells_fn, _render in ALL_SECTIONS:
-        for cell in cells_fn():
-            if cell.id not in seen:
-                seen.add(cell.id)
-                cells.append(cell)
-    return cells
-
-
-def cmd_all(args) -> int:
-    # Heartbeats keep long --jobs runs from looking hung; they go to
-    # stderr, so the artifact output on stdout is unchanged.
-    runner = ExperimentRunner(jobs=args.jobs, use_cache=not args.no_cache,
-                              heartbeat=True)
-    results = runner.run(all_cells())
-    for name, _cells_fn, render in ALL_SECTIONS:
-        print("\n== %s ==" % name)
-        render(results)
-    print("\n%d cells (%d cached, %d computed), jobs=%s"
-          % (runner.cache_hits + runner.cache_misses, runner.cache_hits,
-             runner.cache_misses, args.jobs or 1))
-    return 0
 
 
 # -- trace: the simulated-Ethereal front end ------------------------------------------
@@ -1000,12 +936,16 @@ def _recovery_digest(record: Dict[str, Any]) -> str:
 
 def cmd_faults(args) -> int:
     stacks = tuple(args.stack)
-    plans = ["none"] + [plan for plan in args.plan if plan != "none"]
+    try:
+        plans = [(plan, _plan_param(plan)) for plan
+                 in ["none"] + [plan for plan in args.plan if plan != "none"]]
+    except ValueError as exc:
+        print("faults: %s" % exc, file=sys.stderr)
+        return 2
 
-    def scenario_cell(kind: str, plan: str) -> Cell:
+    def scenario_cell(kind: str, spec: Any) -> Cell:
         params: Dict[str, Any] = dict(
-            kind=kind, workload=args.workload,
-            plan=_plan_param(plan), seed=args.seed)
+            kind=kind, workload=args.workload, plan=spec, seed=args.seed)
         if args.san:
             params["san"] = True
         if args.telemetry:
@@ -1013,9 +953,9 @@ def cmd_faults(args) -> int:
         return _cell("faults_scenario", **params)
 
     labeled = [
-        (kind, plan, scenario_cell(kind, plan))
+        (kind, plan, scenario_cell(kind, spec))
         for kind in stacks
-        for plan in plans
+        for plan, spec in plans
     ]
     runner = _runner(args)
     results = runner.run([cell for _kind, _plan, cell in labeled])
@@ -1253,7 +1193,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Shared by every artifact subcommand: process-pool fan-out.
     jobs_parent = argparse.ArgumentParser(add_help=False)
     jobs_parent.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
+        "--jobs", type=_positive_int, default=None, metavar="N",
         help="run experiment cells on N worker processes "
              "(default: serial in-process; output is identical)")
 
@@ -1276,17 +1216,25 @@ def build_parser() -> argparse.ArgumentParser:
     # Shared by quick/table2/table3/table4: sharded-calendar placement.
     shards_parent = argparse.ArgumentParser(add_help=False)
     shards_parent.add_argument(
-        "--shards", type=int, default=0, metavar="N",
+        "--shards", type=_nonneg_int, default=0, metavar="N",
         help="build each stack on an N-shard placement; N=1 is the "
              "byte-identity check against the flat kernel (a single "
              "stack is one shard — multi-shard sweeps live under "
              "'repro scale'; default: flat)")
 
     sub.add_parser("list").set_defaults(func=cmd_list)
-    sub.add_parser(
-        "quick", parents=[jobs_parent, san_parent, telem_parent,
-                          shards_parent],
-    ).set_defaults(func=cmd_quick)
+    shared = {"san": san_parent, "telemetry": telem_parent,
+              "shards": shards_parent}
+    for section in SECTIONS:
+        for name in section.names:
+            artifact = sub.add_parser(
+                name, parents=[jobs_parent] + [shared[parent] for parent
+                                               in section.parents])
+            for arg in section.args:
+                artifact.add_argument(arg.flag, type=arg.type,
+                                      nargs=arg.nargs, default=arg.default)
+            artifact.set_defaults(func=functools.partial(cmd_section, section),
+                                  **section.fixed)
 
     al = sub.add_parser(
         "all", parents=[jobs_parent],
@@ -1295,59 +1243,6 @@ def build_parser() -> argparse.ArgumentParser:
     al.add_argument("--no-cache", action="store_true",
                     help="recompute every cell, ignoring the result cache")
     al.set_defaults(func=cmd_all)
-
-    t2 = sub.add_parser("table2", parents=[jobs_parent, shards_parent])
-    t2.add_argument("--depth", type=int, nargs="+", default=[0, 3])
-    t2.set_defaults(func=cmd_table2, warm=False)
-    t3 = sub.add_parser("table3", parents=[jobs_parent, shards_parent])
-    t3.add_argument("--depth", type=int, nargs="+", default=[0])
-    t3.set_defaults(func=cmd_table2, warm=True)
-
-    t4 = sub.add_parser("table4", parents=[jobs_parent, shards_parent])
-    t4.add_argument("--mb", type=int, default=16)
-    t4.set_defaults(func=cmd_table4)
-
-    t5 = sub.add_parser("table5", parents=[jobs_parent])
-    t5.add_argument("--transactions", type=int, default=5000)
-    t5.add_argument("--files", type=int, default=1000)
-    t5.set_defaults(func=cmd_table5)
-
-    t6 = sub.add_parser("table6", parents=[jobs_parent])
-    t6.add_argument("--transactions", type=int, default=1000)
-    t6.set_defaults(func=cmd_table6)
-
-    t7 = sub.add_parser("table7", parents=[jobs_parent])
-    t7.add_argument("--queries", type=int, default=4)
-    t7.add_argument("--mb", type=int, default=128)
-    t7.set_defaults(func=cmd_table7)
-
-    t8 = sub.add_parser("table8", parents=[jobs_parent])
-    t8.add_argument("--dirs", type=int, default=12)
-    t8.set_defaults(func=cmd_table8)
-
-    t9 = sub.add_parser("table9", parents=[jobs_parent])
-    t9.add_argument("--transactions", type=int, default=4000)
-    t9.set_defaults(func=cmd_tables910)
-    t10 = sub.add_parser("table10", parents=[jobs_parent])
-    t10.add_argument("--transactions", type=int, default=4000)
-    t10.set_defaults(func=cmd_tables910)
-
-    f3 = sub.add_parser("fig3", parents=[jobs_parent])
-    f3.add_argument("--op", default="mkdir")
-    f3.set_defaults(func=cmd_fig3)
-
-    f4 = sub.add_parser("fig4", parents=[jobs_parent])
-    f4.add_argument("--op", default="mkdir")
-    f4.set_defaults(func=cmd_fig4)
-
-    sub.add_parser("fig5", parents=[jobs_parent]).set_defaults(func=cmd_fig5)
-
-    f6 = sub.add_parser("fig6", parents=[jobs_parent])
-    f6.add_argument("--mb", type=int, default=4)
-    f6.set_defaults(func=cmd_fig6)
-
-    sub.add_parser("fig7", parents=[jobs_parent]).set_defaults(func=cmd_fig7)
-    sub.add_parser("sec7", parents=[jobs_parent]).set_defaults(func=cmd_sec7)
 
     from .sim.shard import EXECUTORS
 
@@ -1369,21 +1264,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "volumes are single-client). Farm output is pure "
                     "simulated outcome, byte-comparable across hosts; "
                     "--compare OLD NEW diffs two farm documents exactly.")
-    sc.add_argument("--clients", type=int, default=256,
+    sc.add_argument("--clients", type=_positive_int, default=256,
                     help="total storm clients (default 256)")
-    sc.add_argument("--groups", type=int, default=8,
+    sc.add_argument("--groups", type=_positive_int, default=8,
                     help="hub groups to partition over shards (default 8)")
-    sc.add_argument("--requests", type=int, default=20,
+    sc.add_argument("--requests", type=_positive_int, default=20,
                     help="requests per client (default 20)")
-    sc.add_argument("--shards", type=int, nargs="+", default=[1, 4],
+    sc.add_argument("--shards", type=_positive_int, nargs="+", default=[1, 4],
                     metavar="N", help="shard counts to sweep (default: 1 4)")
     sc.add_argument("--executor", choices=EXECUTORS, default=None,
                     help="shard executor (default: fork on POSIX, "
                          "else thread)")
-    sc.add_argument("--jobs", type=int, default=None, metavar="N",
+    sc.add_argument("--jobs", type=_positive_int, default=None, metavar="N",
                     help="executor workers (default: one per shard, "
                          "capped at the CPU count)")
-    sc.add_argument("--repeat", type=int, default=3,
+    sc.add_argument("--repeat", type=_positive_int, default=3,
                     help="timed runs per point; best-of wall clock "
                          "(default 3)")
     sc.add_argument("--out", default=None,
@@ -1399,15 +1294,15 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--protocol", nargs="+", choices=("nfs", "iscsi"),
                     default=["nfs", "iscsi"], metavar="PROTO",
                     help="farm protocols to sweep (default: nfs iscsi)")
-    sc.add_argument("--nclients", type=int, nargs="+",
+    sc.add_argument("--nclients", type=_positive_int, nargs="+",
                     default=[64, 256, 1024], metavar="N",
                     help="farm sizes to sweep (default: 64 256 1024)")
-    sc.add_argument("--servers", type=int, nargs="+", default=[1, 4],
-                    metavar="M",
+    sc.add_argument("--servers", type=_positive_int, nargs="+",
+                    default=[1, 4], metavar="M",
                     help="server counts; NFS stripes one namespace over "
                          "all M exports pNFS-style (default: 1 4)")
-    sc.add_argument("--connections", type=int, nargs="+", default=[1, 4],
-                    metavar="K",
+    sc.add_argument("--connections", type=_positive_int, nargs="+",
+                    default=[1, 4], metavar="K",
                     help="concurrent channels per client, the MC/S axis "
                          "(default: 1 4)")
     sc.add_argument("--sharing", type=float, default=0.25,
@@ -1453,7 +1348,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "protocol timeline")
     tr.add_argument("--tree", action="store_true",
                     help="print the causal span tree")
-    tr.add_argument("--limit", type=int, default=60,
+    tr.add_argument("--limit", type=_nonneg_int, default=60,
                     help="max rows in --diff output (0 = all)")
     tr.set_defaults(func=cmd_trace)
 
@@ -1493,7 +1388,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "more than one adds a merged fleet section")
     da.add_argument("--html", metavar="FILE",
                     help="also write a self-contained HTML dashboard")
-    da.add_argument("--width", type=int, default=48,
+    da.add_argument("--width", type=_positive_int, default=48,
                     help="sparkline width in characters (default 48)")
     da.add_argument("--heartbeat", action="store_true",
                     help="print in-simulation heartbeat lines to stderr "
@@ -1521,7 +1416,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--bench-b", metavar="FILE",
                      help="read side B from a recorded BENCH_*.json "
                           "(case <workload>/<stack-b>; requires --bench-a)")
-    exp.add_argument("--top", type=int, default=8,
+    exp.add_argument("--top", type=_positive_int, default=8,
                      help="blame-list length (default 8)")
     exp.add_argument("--format", choices=["text", "json", "html"],
                      default="text",
@@ -1557,8 +1452,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # A usage error (2, message already on stderr) or --help (0):
+        # a return code, so in-process callers see what a shell would.
+        return exc.code
     return args.func(args)
 
 

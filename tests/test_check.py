@@ -275,6 +275,30 @@ def test_o303_suppressed():
     assert codes(src) == []
 
 
+def test_o301_flags_unguarded_san_and_fault_hooks():
+    assert codes("san.note_send(message)\n") == ["O301"]
+    assert codes("self.san.note_issued(request.xid)\n") == ["O301"]
+    assert codes("verdict, extra = fault.filter_message(message, True)\n") \
+        == ["O301"]
+    # A sanitizer guard does not cover the fault layer.
+    src = ("if self.san is not None:\n"
+           "    self.fault.filter_message(message, True)\n")
+    assert codes(src) == ["O301"]
+
+
+def test_o301_negative_guarded_san_and_fault_hooks():
+    src = ("san = self.san\n"
+           "if san is not None:\n"
+           "    san.note_send(message)\n")
+    assert codes(src) == []
+    src = ("fault = self.fault\n"
+           "if fault is not None:\n"
+           "    verdict, extra = fault.filter_message(message, True)\n")
+    assert codes(src) == []
+    # `note_*` on the always-on resource statistics is not a hook.
+    assert codes("self.stats.note_acquired(0.0)\n") == []
+
+
 # ------------------------------------------------------------ simlint: misc
 
 
@@ -439,7 +463,8 @@ def test_s405_orphan_reply_detected():
     stack.run(_tiny_workload(stack.client), name="tiny")
     stack.quiesce()
     peer = stack.rpc_peers()[0]
-    peer.san.note_orphan_reply(10 ** 9)   # an xid this peer never issued
+    # An xid this peer never issued.
+    peer.san.note_orphan_reply(10 ** 9)  # simlint: disable=O301 -- the test drives the sanitizer directly
     findings = stack.check(strict=False)
     assert any(f.code == "S405" and "never issued" in f.message
                for f in findings)
@@ -451,7 +476,8 @@ def test_s405_orphan_reply_to_issued_xid_is_legitimate():
     stack.quiesce()
     peer = stack.rpc_peers()[0]
     issued = next(iter(peer.san.xids_issued))
-    peer.san.note_orphan_reply(issued)   # late reply to a retransmit
+    # A late reply to a retransmit.
+    peer.san.note_orphan_reply(issued)  # simlint: disable=O301 -- the test drives the sanitizer directly
     assert stack.check() == []
 
 

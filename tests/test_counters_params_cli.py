@@ -1,5 +1,7 @@
 """Tests for counters arithmetic, parameter helpers, and the CLI."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.core.counters import MessageCounters
@@ -175,7 +177,11 @@ def test_cli_fig3_runs(capsys):
 
 def test_cli_sec7_runs(capsys):
     assert main(["sec7"]) == 0
-    assert "reduction" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "reduction" in out
+    # The golden copy was recorded before the SECTIONS registry existed.
+    golden = Path(__file__).parent / "data" / "cli" / "sec7.stdout"
+    assert out == golden.read_text()
 
 
 def test_cli_quick_shards1_is_byte_identical(capsys):
