@@ -64,12 +64,13 @@ import sys
 import textwrap
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core.comparison import STACK_KINDS, make_stack
 from .core.runner import Cell, ExperimentRunner
 from .obs.bench import SUITES as BENCH_SUITES
 from .obs.bench import WORKLOADS as TRACE_WORKLOADS
+from .workloads import BATCH_OPS, SYSCALL_OPS
 
 
 def _print_table(headers, rows):
@@ -118,6 +119,37 @@ def _count_type(minimum: int) -> Callable[[str], int]:
 
 _positive_int = _count_type(1)
 _nonneg_int = _count_type(0)   # --depth, artifact --shards (0 = flat), --limit
+
+
+def _one_of(choices: Sequence[str]) -> Callable[[str], str]:
+    """An argparse type for one of ``choices``: an unknown name is a
+    usage error (exit 2), not a traceback from inside a cell."""
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise argparse.ArgumentTypeError(
+                "invalid choice: %r (choose from %s)"
+                % (text, ", ".join(choices)))
+        return text
+    return parse
+
+
+def _load_documents(command: str,
+                    paths: Sequence[str]) -> Optional[List[Dict[str, Any]]]:
+    """The JSON objects at ``paths``; None, after printing ``<command>:
+    cannot read document: ...``, if one is missing or malformed."""
+    from .obs.bench import load_bench
+
+    documents = []
+    for path in paths:
+        try:
+            documents.append(load_bench(path))
+            if not isinstance(documents[-1], dict):
+                raise ValueError("not a JSON object")
+        except (OSError, ValueError) as exc:
+            print("%s: cannot read document: %s: %s" % (command, path, exc),
+                  file=sys.stderr)
+            return None
+    return documents
 
 
 def iter_subcommands() -> List[str]:
@@ -218,8 +250,6 @@ def cells_syscalls(depth: List[int], warm: bool,
 
 
 def render_syscalls(pairs: Pairs) -> None:
-    from .workloads import SYSCALL_OPS
-
     for block in _chunks(pairs, len(SYSCALL_KINDS)):
         params = block[0][0].params
         print("\n%s cache, depth %d" % ("warm" if params["warm"] else "cold",
@@ -517,8 +547,10 @@ SECTIONS: Tuple[Section, ...] = (
             (Arg("--dirs", _positive_int, 12),)),
     Section(("table9", "table10"), cells_tables910, render_tables910,
             (Arg("--transactions", _positive_int, 4000),)),
-    Section(("fig3",), cells_fig3, render_fig3, (Arg("--op", str, "mkdir"),)),
-    Section(("fig4",), cells_fig4, render_fig4, (Arg("--op", str, "mkdir"),)),
+    Section(("fig3",), cells_fig3, render_fig3,
+            (Arg("--op", _one_of(BATCH_OPS), "mkdir"),)),
+    Section(("fig4",), cells_fig4, render_fig4,
+            (Arg("--op", _one_of(SYSCALL_OPS), "mkdir"),)),
     Section(("fig5",), cells_fig5, render_fig5),
     Section(("fig6",), cells_fig6, render_fig6,
             (Arg("--mb", _positive_int, 4),)),
@@ -620,13 +652,12 @@ def cmd_scale(args) -> int:
     from .sim.shard import default_parallel_executor
 
     if args.compare:
-        from .obs.bench import compare_scale_documents, load_bench
-        try:
-            baseline = load_bench(args.compare[0])
-            current = load_bench(args.compare[1])
-        except (OSError, ValueError) as exc:
-            print("scale: cannot read document: %s" % exc, file=sys.stderr)
+        from .obs.bench import compare_scale_documents
+
+        documents = _load_documents("scale", args.compare)
+        if documents is None:
             return 2
+        baseline, current = documents
         problems = compare_scale_documents(baseline, current)
         for problem in problems:
             print("scale: %s" % problem)
@@ -1002,8 +1033,10 @@ def cmd_bench(args) -> int:
     from .obs import bench
 
     if args.compare:
-        baseline = bench.load_bench(args.compare[0])
-        current = bench.load_bench(args.compare[1])
+        documents = _load_documents("bench", args.compare)
+        if documents is None:
+            return 2
+        baseline, current = documents
         regressions, notes = bench.compare(
             baseline, current, tolerance=args.tolerance)
         if args.format == "json":
@@ -1071,12 +1104,13 @@ def cmd_explain(args) -> int:
         # Offline mode: diff one case out of two recorded bench documents.
         import os
 
-        from .obs import bench
-
+        paths = (args.bench_a, args.bench_b)
+        documents = _load_documents("explain", paths)
+        if documents is None:
+            return 2
         sides = []
-        for path, stack in ((args.bench_a, args.stack_a),
-                            (args.bench_b, args.stack_b)):
-            doc = bench.load_bench(path)
+        for path, doc, stack in zip(paths, documents,
+                                    (args.stack_a, args.stack_b)):
             case = "%s/%s" % (args.workload, stack)
             record = doc.get("cases", {}).get(case)
             if record is None:

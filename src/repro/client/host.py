@@ -2,8 +2,9 @@
 
 The testbed has two: a 1-CPU client and a 2-CPU server (the paper's 1 GHz
 PIII client and dual-933 MHz PIII server).  Every protocol layer charges
-its processing here, so the vmstat-style utilization figures of Tables 9
-and 10 come from the same resource that creates CPU contention.
+its processing here, so the vmstat-style utilization figures of Tables
+5-7 and 9/10 come from the same resource that creates CPU contention:
+its ``cpu.stats`` (:class:`~repro.sim.stats.ResourceStats`).
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ class Host:
         self.cpu = Resource(sim, capacity=cpus, name=name + ".cpu")
 
     def reset_utilization_window(self) -> None:
-        """Start a fresh measurement window (a vmstat restart)."""
-        self.cpu.tracker.reset_window()
+        """Restart all of ``cpu.stats`` (a vmstat restart): busy time,
+        acquisitions, waits and the queue-depth integral."""
+        self.cpu.stats.reset_window()
 
     def cpu_utilization(self) -> float:
         """Mean CPU utilization over the current window, in [0, 1]."""
-        return min(1.0, self.cpu.tracker.utilization())
+        return min(1.0, self.cpu.stats.utilization())

@@ -73,18 +73,18 @@ def placement_shard(shards: int, params: Optional[TestbedParams] = None,
         1, testbed.network.rtt / 2.0, san=san).shard(0)
 
 
-def busy_probe(sim: Any, tracker: Any, capacity: int):
-    """Utilization probe over a busy-time integral, read without mutating.
+def busy_probe(sim: Any, stats: Any, capacity: int):
+    """Utilization probe over a resource's busy time, read without mutating.
 
-    Works for both :class:`~repro.sim.resources.UtilizationTracker` and
-    :class:`~repro.sim.stats.ResourceStats`: the integral is extended to
-    ``now`` without committing it, because committing (``_accumulate()``)
-    would change the order of float additions and a sampled run would
-    report different busy times from an unsampled one.
+    ``stats`` is a :class:`~repro.sim.stats.ResourceStats`.  Its busy-time
+    integral is extended to ``now`` without committing it, because
+    committing (``utilization()``) would add a split point, change the
+    order of float additions, and make a sampled run report different
+    busy times from an unsampled one.
     """
     def probe() -> float:
-        return (tracker.busy_time + tracker._in_service
-                * (sim.now - tracker._last_change)) / capacity
+        return (stats.busy_time + stats._in_service
+                * (sim.now - stats._busy_since)) / capacity
     return probe
 
 
@@ -449,7 +449,7 @@ class StorageStack:
                             ("server", self.server_host)):
             cpu = host.cpu
             add("cpu." + track,
-                busy_probe(self.sim, cpu.tracker, cpu.capacity),
+                busy_probe(self.sim, cpu.stats, cpu.capacity),
                 kind="cumulative", label=track)
         add("link.MBps", lambda: float(self.link.total_bytes),
             kind="rate", label="wire", scale=1e-6)
@@ -465,7 +465,7 @@ class StorageStack:
                            ("server", self.server_host)):
             cpu = host.cpu
             add(side + ".cpu.util",
-                busy_probe(self.sim, cpu.tracker, cpu.capacity),
+                busy_probe(self.sim, cpu.stats, cpu.capacity),
                 kind="cumulative", label="util")
         add("net.link.MBps", lambda: float(self.link.total_bytes),
             kind="rate", label="rate", scale=1e-6)

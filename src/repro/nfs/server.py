@@ -102,7 +102,6 @@ class NfsServer:
         self.name = name
         self.state = state if state is not None else ServerState()
         self.root_ino = ROOT_INO
-        self.ops_served = 0
         self.restarts = 0
         # Per-inode write serialization (the kernel's page/inode locking):
         # concurrent WRITEs to one file are processed one at a time, which
@@ -180,7 +179,6 @@ class NfsServer:
         client = message.body.get("client")
         if client is not None:
             self.state.peer_of[client] = self.rpc
-        self.ops_served += 1
         try:
             result = yield from handler(message.body)
         except FsError as error:

@@ -15,7 +15,7 @@ from .kernel import (
     Simulator,
     Timeout,
 )
-from .resources import Resource, Store, UtilizationTracker
+from .resources import Resource, Store
 from .stats import LatencyHistogram, ResourceStats
 
 __all__ = [
@@ -31,5 +31,4 @@ __all__ = [
     "Simulator",
     "Store",
     "Timeout",
-    "UtilizationTracker",
 ]

@@ -9,11 +9,11 @@ Two primitives cover everything the storage stacks need:
 
 Both also keep the accounting the experiments need, so utilization
 figures fall out of the same objects that provide the contention.  Every
-:class:`Resource` carries a :class:`~repro.sim.stats.ResourceStats`
-(``resource.stats``) with utilization, wait-time histograms, and the
+:class:`Resource` carries one :class:`~repro.sim.stats.ResourceStats`
+(``resource.stats``), its only accounting: busy time (the CPU
+utilization of Tables 5-7 and 9/10), wait-time histograms, and the
 queue-depth integral — the raw material for the queueing analytics in
-:mod:`repro.obs.profile`.  The older :class:`UtilizationTracker` is kept
-for the CPU-utilization windows of Tables 9/10.
+:mod:`repro.obs.profile`.
 """
 
 from __future__ import annotations
@@ -24,68 +24,13 @@ from typing import Any, Deque, Generator, List, Optional
 from .kernel import Event, SimulationError, Simulator
 from .stats import ResourceStats
 
-__all__ = ["Resource", "Store", "UtilizationTracker"]
-
-
-class UtilizationTracker:
-    """Accumulates busy time for a capacity-``n`` server.
-
-    Utilization over a window is ``busy_time / (capacity * elapsed)``, i.e.
-    the fraction of available service capacity consumed.
-    """
-
-    __slots__ = ("sim", "capacity", "busy_time", "_in_service",
-                 "_last_change", "_window_start")
-
-    def __init__(self, sim: Simulator, capacity: int = 1):
-        self.sim = sim
-        self.capacity = capacity
-        self.busy_time = 0.0
-        self._in_service = 0
-        self._last_change = sim.now
-        self._window_start = sim.now
-
-    def acquire(self) -> None:
-        """Record one unit of capacity entering service."""
-        self._accumulate()
-        self._in_service += 1
-
-    def release(self) -> None:
-        """Record one unit of capacity leaving service."""
-        self._accumulate()
-        if self._in_service <= 0:
-            raise SimulationError("release without acquire")
-        self._in_service -= 1
-
-    def _accumulate(self) -> None:
-        now = self.sim.now
-        # Same-instant re-reads must not accumulate twice; this compares
-        # the clock to its own earlier value, so exact float equality is
-        # the correct test.
-        if now != self._last_change:  # simlint: disable=D104 -- clock vs its own earlier value; exact equality is correct
-            self.busy_time += self._in_service * (now - self._last_change)
-            self._last_change = now
-
-    def reset_window(self) -> None:
-        """Start a fresh measurement window at the current instant."""
-        self._accumulate()
-        self.busy_time = 0.0
-        self._window_start = self.sim.now
-
-    def utilization(self) -> float:
-        """Mean utilization since the start of the current window."""
-        self._accumulate()
-        elapsed = self.sim.now - self._window_start
-        if elapsed <= 0.0:
-            return 0.0
-        return self.busy_time / (self.capacity * elapsed)
+__all__ = ["Resource", "Store"]
 
 
 class Resource:
     """A counting semaphore with FIFO queueing and utilization tracking."""
 
-    __slots__ = ("sim", "capacity", "name", "available", "_waiters",
-                 "tracker", "stats", "total_acquisitions")
+    __slots__ = ("sim", "capacity", "name", "available", "_waiters", "stats")
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
         if capacity < 1:
@@ -95,9 +40,7 @@ class Resource:
         self.name = name
         self.available = capacity
         self._waiters: Deque[Event] = deque()
-        self.tracker = UtilizationTracker(sim, capacity)
         self.stats = ResourceStats(self)
-        self.total_acquisitions = 0
 
     @property
     def queue_length(self) -> int:
@@ -115,23 +58,19 @@ class Resource:
             self._waiters.append(gate)
             yield gate
             self.stats.note_wait_done(self.sim.now - arrived)
-        self.total_acquisitions += 1
-        # UtilizationTracker.acquire is plain bookkeeping, not the
-        # coroutine Resource.acquire — nothing to yield here.
-        self.tracker.acquire()  # simlint: disable=P203 -- bookkeeping method, not the coroutine acquire
         return None
 
     def release(self) -> None:
         """Return one unit of capacity; wakes the oldest waiter, if any."""
-        self.tracker.release()
+        waiters = self._waiters
+        if not waiters and self.available >= self.capacity:
+            raise SimulationError(
+                "resource %r released more than acquired" % (self.name,)
+            )
         self.stats.note_released()
-        if self._waiters:
-            self._waiters.popleft().trigger()
+        if waiters:
+            waiters.popleft().trigger()
         else:
-            if self.available >= self.capacity:
-                raise SimulationError(
-                    "resource %r released more than acquired" % (self.name,)
-                )
             self.available += 1
 
     def use(self, duration: float) -> Generator[Event, Any, None]:
@@ -150,9 +89,6 @@ class Resource:
             self._waiters.append(gate)
             yield gate
             self.stats.note_wait_done(self.sim.now - arrived)
-        self.total_acquisitions += 1
-        # Bookkeeping call (see acquire() above), not the coroutine.
-        self.tracker.acquire()  # simlint: disable=P203 -- bookkeeping method, not the coroutine acquire
         try:
             yield self.sim.hold(duration)
         finally:

@@ -164,19 +164,25 @@ class LatencyHistogram:
 
 
 class ResourceStats:
-    """First-class queueing statistics for one resource.
+    """The one accounting a :class:`~repro.sim.resources.Resource` keeps.
 
-    This generalizes the old scattered ``busy_time`` counters into a
-    single accumulator maintained by ``Resource.acquire``/``release``:
+    ``Resource.acquire``/``use``/``release`` maintain it:
 
-    * **utilization** — busy time integrated over the in-service count,
-      divided by ``capacity * elapsed`` (what vmstat would report);
+    * **utilization** — busy time (the integral of the in-service count)
+      over ``capacity * elapsed``, what vmstat reports; ``Host`` reads
+      the CPU figures of Tables 5-7 and 9/10 here;
     * **wait accounting** — every acquisition records its queueing delay;
       contended waits (> 0) additionally feed a
       :class:`LatencyHistogram`, so p95/p99 wait times are available;
-    * **queue-depth integral** — ``integral(queue_length dt)`` maintained
-      at every enqueue/dequeue, giving the exact time-average queue
-      length without sampling.
+    * **queue-depth integral** — ``integral(queue_length dt)``: the exact
+      time-average queue length without sampling.
+
+    Each integral has its own timestamp.  Busy time is cut only where the
+    in-service count changes and where it is read or reset.  A float sum
+    depends on where it is cut, so cutting busy time at enqueues too
+    would move the printed CPU figures.  The queue integral is also cut
+    at every enqueue, dequeue and read.  A zero count adds nothing, so
+    its integral is skipped until the count leaves zero.
 
     Little's law (``L = lambda * W``) is an exact identity here: over any
     interval that begins and ends with an empty queue, the queue-depth
@@ -187,8 +193,8 @@ class ResourceStats:
 
     __slots__ = ("_resource", "_sim", "window_start", "acquisitions",
                  "contended", "total_wait", "max_wait", "wait_hist",
-                 "busy_time", "_in_service", "_queue_len",
-                 "_queue_integral", "_last_change")
+                 "busy_time", "_in_service", "_busy_since",
+                 "_queue_len", "_queue_integral", "_queue_since")
 
     def __init__(self, resource: Any):
         self._resource = resource
@@ -201,15 +207,18 @@ class ResourceStats:
         self.wait_hist = LatencyHistogram()   # contended waits only
         self.busy_time = 0.0           # integral of the in-service count
         self._in_service = 0
+        self._busy_since = self._sim.now
         self._queue_len = 0
         self._queue_integral = 0.0
-        self._last_change = self._sim.now
+        self._queue_since = self._sim.now
 
     # -- accounting hooks (called by Resource) --------------------------------
 
     def note_enqueued(self) -> None:
         """One acquirer joined the wait queue."""
-        self._accumulate()
+        now = self._sim.now
+        self._queue_integral += self._queue_len * (now - self._queue_since)
+        self._queue_since = now
         self._queue_len += 1
 
     def note_acquired(self, wait: float) -> None:
@@ -218,14 +227,16 @@ class ResourceStats:
         Acquirers that queued must call :meth:`note_wait_done` instead so
         the queue-depth integral stays conservative.
         """
-        # _accumulate(), inlined: this is the per-charge hot path.
+        # Both integrals extended inline: this is the per-charge hot path.
         now = self._sim.now
-        dt = now - self._last_change
-        if dt > 0.0:
-            self.busy_time += self._in_service * dt
-            self._queue_integral += self._queue_len * dt
-            self._last_change = now
-        self._in_service += 1
+        in_service = self._in_service
+        if in_service:
+            self.busy_time += in_service * (now - self._busy_since)
+        self._busy_since = now
+        self._in_service = in_service + 1
+        if self._queue_len:
+            self._queue_integral += self._queue_len * (now - self._queue_since)
+            self._queue_since = now
         self.acquisitions += 1
         if wait > 0.0:
             self.total_wait += wait
@@ -236,28 +247,32 @@ class ResourceStats:
 
     def note_wait_done(self, wait: float) -> None:
         """A queued acquirer left the wait queue and entered service."""
-        self._accumulate()
+        self._extend_queue()
         self._queue_len -= 1
         self.note_acquired(wait)
 
     def note_released(self) -> None:
         """One unit of capacity left service."""
-        # _accumulate(), inlined: this is the per-charge hot path.
+        # Both integrals extended inline: this is the per-charge hot path.
         now = self._sim.now
-        dt = now - self._last_change
-        if dt > 0.0:
-            self.busy_time += self._in_service * dt
-            self._queue_integral += self._queue_len * dt
-            self._last_change = now
+        self.busy_time += self._in_service * (now - self._busy_since)
+        self._busy_since = now
         self._in_service -= 1
+        if self._queue_len:
+            self._queue_integral += self._queue_len * (now - self._queue_since)
+            self._queue_since = now
 
-    def _accumulate(self) -> None:
-        now = self._sim.now
-        dt = now - self._last_change
-        if dt > 0.0:
-            self.busy_time += self._in_service * dt
-            self._queue_integral += self._queue_len * dt
-            self._last_change = now
+    def _extend_busy(self) -> None:
+        if self._in_service:
+            now = self._sim.now
+            self.busy_time += self._in_service * (now - self._busy_since)
+            self._busy_since = now
+
+    def _extend_queue(self) -> None:
+        if self._queue_len:
+            now = self._sim.now
+            self._queue_integral += self._queue_len * (now - self._queue_since)
+            self._queue_since = now
 
     # -- derived figures ------------------------------------------------------
 
@@ -269,12 +284,13 @@ class ResourceStats:
     @property
     def queue_integral(self) -> float:
         """``integral(queue_length dt)`` up to the current instant."""
-        self._accumulate()
+        self._extend_queue()
         return self._queue_integral
 
     def utilization(self) -> float:
         """Mean utilization over the current window, in [0, 1]."""
-        self._accumulate()
+        self._extend_busy()
+        self._extend_queue()
         elapsed = self.elapsed
         if elapsed <= 0.0:
             return 0.0
@@ -315,7 +331,8 @@ class ResourceStats:
         In-service and queued counts carry over (they are physical
         state); the integrals, wait totals, and histogram restart.
         """
-        self._accumulate()
+        self._extend_busy()
+        self._extend_queue()
         self.window_start = self._sim.now
         self.acquisitions = 0
         self.contended = 0

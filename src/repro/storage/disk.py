@@ -47,7 +47,6 @@ class Disk(BlockDevice):
         self.tracer = tracer
         self.queue = Resource(sim, capacity=1, name=name + ".queue")
         self._head = 0  # block number just past the last access
-        self.busy_time = 0.0
         # Service-time multiplier (repro.faults slow-disk windows); 1.0
         # leaves the healthy timing untouched.
         self.slowdown = 1.0
@@ -86,7 +85,6 @@ class Disk(BlockDevice):
                     service *= self.slowdown
                 if not (is_write and self.params.write_back_cache):
                     self._head = start + count
-                self.busy_time += service
                 yield self.sim.hold(service)
             finally:
                 self.queue.release()

@@ -113,7 +113,7 @@ def test_whole_paper_golden_is_committed():
 # -- bad input is a usage error, not a traceback --------------------------------------
 # The farm's --nclients/--servers/--connections cases live in test_farm.py.
 
-BAD_COUNTS = [
+BAD_ARGS = [
     ["table2", "--jobs", "0"],
     ["table2", "--depth", "-1"],
     ["table4", "--mb", "0"],
@@ -131,10 +131,12 @@ BAD_COUNTS = [
     ["explain", "smoke", "--top", "0"],
     ["dash", "smoke", "--width", "0"],
     ["trace", "smoke", "--limit", "-1"],
+    ["fig3", "--op", "nosuch"],
+    ["fig4", "--op", "nosuch"],
 ]
 
 
-@pytest.mark.parametrize("argv", BAD_COUNTS, ids=" ".join)
+@pytest.mark.parametrize("argv", BAD_ARGS, ids=" ".join)
 def test_bad_count_is_a_usage_error(argv, capsys):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
@@ -153,6 +155,58 @@ def test_bad_count_exits_2_without_traceback():
     assert proc.returncode == 2
     assert "--transactions: must be >= 1 (got 0)" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_op_choices_are_the_workload_ops():
+    # fig3 accepts BATCH_OPS (run_batching_sweep's own check) and fig4
+    # SYSCALL_OPS, every one of which SyscallMicrobench._op must handle.
+    from repro.workloads import BATCH_OPS, SYSCALL_OPS, SyscallMicrobench
+
+    class Client:
+        def __getattr__(self, _name):
+            return lambda *args: iter(())
+
+    bench = SyscallMicrobench("iscsi")
+    for op in SYSCALL_OPS:
+        assert list(bench._op(Client(), op, 0)) == []
+    with pytest.raises(ValueError):
+        list(bench._op(Client(), "nosuch", 0))
+    parser = cli.build_parser()
+    for name, ops in (("fig3", BATCH_OPS), ("fig4", SYSCALL_OPS)):
+        for op in ops:
+            assert parser.parse_args([name, "--op", op]).op == op
+
+
+# Each command that reads bench/scale documents, with one bad path.
+BAD_DOCUMENTS = {
+    "bench old": ["bench", "--compare", "{bad}", "BENCH_quick.json"],
+    "bench new": ["bench", "--compare", "BENCH_quick.json", "{bad}"],
+    "explain a": ["explain", "smoke", "--bench-a", "{bad}",
+                  "--bench-b", "BENCH_quick.json"],
+    "explain b": ["explain", "smoke", "--bench-a", "BENCH_quick.json",
+                  "--bench-b", "{bad}"],
+    "scale": ["scale", "--compare", "{bad}", "BENCH_scale.json"],
+}
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"],
+                         ids=["missing", "malformed", "not-an-object"])
+@pytest.mark.parametrize("argv", BAD_DOCUMENTS.values(),
+                         ids=BAD_DOCUMENTS.keys())
+def test_unreadable_document_is_a_usage_error(argv, content, tmp_path,
+                                              capsys):
+    bad = tmp_path / "doc.json"
+    if content is not None:
+        bad.write_text(content)
+    root = Path(__file__).resolve().parents[1]
+    argv = [str(bad) if arg == "{bad}"
+            else str(root / arg) if arg.startswith("BENCH_") else arg
+            for arg in argv]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "%s: cannot read document: %s: " % (argv[0], bad))
 
 
 def test_unknown_fault_plan_is_a_usage_error(capsys):

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.client.host import Host
 from repro.core import STACK_KINDS, TestbedParams, make_stack
 from repro.core.comparison import StorageStack
+from repro.sim import Simulator
 
 
 def test_all_kinds_construct_and_mount():
@@ -118,6 +120,32 @@ def test_cpu_windows_track_utilization():
     stack.run(work())
     assert 0.0 <= stack.client_host.cpu_utilization() <= 1.0
     assert 0.0 <= stack.server_host.cpu_utilization() <= 1.0
+
+
+def test_cpu_window_reset_restarts_all_cpu_stats():
+    # A vmstat restart resets the whole of cpu.stats, not only busy time:
+    # acquisitions, contention and waits also count from the reset.
+    sim = Simulator()
+    host = Host(sim, cpus=1, name="h")
+
+    def charge(hold):
+        yield from host.cpu.use(hold)
+
+    for _ in range(3):
+        sim.spawn(charge(1.0))
+    sim.run()
+    stats = host.cpu.stats
+    assert (stats.acquisitions, stats.contended) == (3, 2)
+    assert stats.total_wait == pytest.approx(3.0)
+    host.reset_utilization_window()
+    assert (stats.acquisitions, stats.contended, stats.total_wait,
+            stats.max_wait, stats.wait_hist.count, stats.busy_time) == (
+        0, 0, 0.0, 0.0, 0, 0.0)
+    assert stats.elapsed == 0.0
+    sim.spawn(charge(2.0))
+    sim.run()
+    assert (stats.acquisitions, stats.contended) == (1, 0)
+    assert host.cpu_utilization() == pytest.approx(1.0)
 
 
 def test_deterministic_across_runs():

@@ -317,8 +317,8 @@ def test_tracing_does_not_change_message_counts():
         stack = make_stack("nfsv3", trace=trace)
         stack.run(strided(stack.client))
         figures.append((stack.now,
-                        stack.client_host.cpu.tracker.busy_time,
-                        stack.server_host.cpu.tracker.busy_time))
+                        stack.client_host.cpu.stats.busy_time,
+                        stack.server_host.cpu.stats.busy_time))
     assert figures[1] == figures[0]
 
 

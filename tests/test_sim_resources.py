@@ -1,4 +1,4 @@
-"""Unit and property tests for Resource/Store/UtilizationTracker."""
+"""Unit and property tests for Resource/Store and their ResourceStats."""
 # simlint: disable-file=P202 -- tests deliberately leak an acquire to assert the leak is observable
 
 import pytest
@@ -77,7 +77,7 @@ def test_utilization_full(sim):
         yield from res.use(10.0)
 
     sim.run_process(worker())
-    assert res.tracker.utilization() == pytest.approx(1.0)
+    assert res.stats.utilization() == pytest.approx(1.0)
 
 
 def test_utilization_half(sim):
@@ -87,7 +87,7 @@ def test_utilization_half(sim):
         yield from res.use(10.0)
 
     sim.run_process(worker())
-    assert res.tracker.utilization() == pytest.approx(0.5)
+    assert res.stats.utilization() == pytest.approx(0.5)
 
 
 def test_utilization_window_reset(sim):
@@ -95,11 +95,11 @@ def test_utilization_window_reset(sim):
 
     def worker():
         yield from res.use(4.0)
-        res.tracker.reset_window()
+        res.stats.reset_window()
         yield sim.timeout(6.0)
 
     sim.run_process(worker())
-    assert res.tracker.utilization() == pytest.approx(0.0)
+    assert res.stats.utilization() == pytest.approx(0.0)
 
 
 def test_store_fifo(sim):
@@ -164,12 +164,38 @@ def test_stats_uncontended_resource_records_no_waits(sim):
     assert stats.littles_law_residual() == 0.0
 
 
-def test_stats_busy_time_matches_legacy_tracker(sim):
+def test_stats_busy_time_matches_sum_of_holds(sim):
+    # Holds of 2/3/1 s back to back on capacity 1: busy for all 6 s.
     res = _contended_run(sim)
-    assert res.stats.busy_time == pytest.approx(
-        res.tracker.busy_time, abs=1e-12)
-    assert res.stats.utilization() == pytest.approx(
-        res.tracker.utilization(), abs=1e-12)
+    assert res.stats.busy_time == pytest.approx(6.0, abs=1e-12)
+    assert res.stats.elapsed == pytest.approx(6.0, abs=1e-12)
+    assert res.stats.utilization() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_stats_busy_time_not_split_at_enqueue(sim):
+    # One holder is in service from 0 to 0.9 s; a waiter arrives at 0.2 s
+    # and holds 0.3 s once served.  Cutting the first busy period at the
+    # arrival gives a different float sum, so busy time must be
+    # integrated between acquires and releases only: those are the cuts
+    # the published CPU utilizations were summed over.
+    arrival, first, second = 0.2, 0.9, 0.3
+    end = first + second
+    unsplit = first + (end - first)
+    assert arrival + (first - arrival) + (end - first) != unsplit
+    res = Resource(sim, capacity=1)
+
+    def holder():
+        yield from res.use(first)
+
+    def waiter():
+        yield sim.timeout(arrival)
+        yield from res.use(second)
+
+    sim.spawn(holder())
+    sim.spawn(waiter())
+    sim.run()
+    assert res.stats.contended == 1
+    assert res.stats.busy_time == unsplit
 
 
 def test_stats_queue_integral_equals_total_wait_when_drained(sim):
@@ -231,7 +257,7 @@ def test_stats_as_dict_is_json_ready(sim):
 def test_stats_littles_law_property(holds, capacity):
     """Over a run that starts and ends with an empty queue, the
     queue-depth integral equals the summed waits (Little's law), and
-    stats busy time agrees with the legacy tracker."""
+    busy time is the sum of the holds."""
     sim = Simulator()
     res = Resource(sim, capacity=capacity)
 
@@ -244,7 +270,6 @@ def test_stats_littles_law_property(holds, capacity):
     stats = res.stats
     assert stats.acquisitions == len(holds)
     assert stats.littles_law_residual() < 1e-9
-    assert stats.busy_time == pytest.approx(res.tracker.busy_time)
     assert stats.busy_time == pytest.approx(sum(holds))
 
 
@@ -265,7 +290,7 @@ def test_resource_conservation_property(holds, capacity):
         sim.spawn(worker(hold))
     sim.run()
     total = sum(holds)
-    assert res.tracker.busy_time == pytest.approx(total)
+    assert res.stats.busy_time == pytest.approx(total)
     assert sim.now <= total + 1e-9
     assert sim.now >= total / capacity - 1e-9
     assert res.available == capacity
